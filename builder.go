@@ -75,6 +75,10 @@ func (b *ProblemBuilder) Graph(name string, period, deadline Time) *GraphBuilder
 // WCET records the worst-case execution time of a process on a node. A
 // process may only run on nodes it has a WCET entry for.
 func (b *ProblemBuilder) WCET(p Proc, n NodeID, c Time) *ProblemBuilder {
+	if p.ID < 0 || n < 0 {
+		b.errs = append(b.errs, fmt.Errorf("ftdse: WCET of %v on node %d references an unknown process or node", p, n))
+		return b
+	}
 	b.wcet.Set(p.ID, n, c)
 	return b
 }

@@ -111,6 +111,12 @@ func TestProblemBuilderRejectsInvalid(t *testing.T) {
 	if _, err := b2.Faults(1, ftdse.Ms(1)).ForceReexecution(p).ForceReplication(p).Build(); err == nil {
 		t.Error("Build accepted a process in both P_X and P_R")
 	}
+	// A WCET on a negative node ID (the dense WCET table cannot hold it).
+	b3 := ftdse.NewProblem("x").Nodes(2)
+	q := b3.Graph("G", ftdse.Ms(100), ftdse.Ms(100)).Process("Q", ftdse.Ms(1))
+	if _, err := b3.Faults(1, ftdse.Ms(1)).WCET(q, -1, ftdse.Ms(1)).Build(); err == nil {
+		t.Error("Build accepted a WCET on node -1")
+	}
 }
 
 // TestEvaluateFixedDesign checks the no-search evaluation path used by

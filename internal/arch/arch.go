@@ -7,7 +7,6 @@ package arch
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/ftdse/internal/model"
 )
@@ -93,33 +92,53 @@ func (a *Architecture) Validate() error {
 // means the process cannot be mapped on that node (the "X" entries of
 // Figure 5 in the paper). The table is keyed by the origin ProcID, so it
 // applies to all hyper-period instances of a process.
+//
+// Storage is dense: row p holds one entry per NodeID, and 0 marks a
+// missing entry (Set rejects non-positive times). Both ID spaces are
+// dense from 0, so the table is |processes| × |nodes|.
 type WCET struct {
-	c map[model.ProcID]map[NodeID]model.Time
+	c [][]model.Time // c[p][n]
 }
 
 // NewWCET returns an empty table.
-func NewWCET() *WCET {
-	return &WCET{c: make(map[model.ProcID]map[NodeID]model.Time)}
-}
+func NewWCET() *WCET { return &WCET{} }
 
 // Set records the WCET of process p on node n.
 func (w *WCET) Set(p model.ProcID, n NodeID, c model.Time) {
 	if c <= 0 {
 		panic(fmt.Sprintf("arch: non-positive WCET %v for process %d on node %d", c, p, n))
 	}
+	if p < 0 || n < 0 {
+		panic(fmt.Sprintf("arch: WCET for negative process %d or node %d", p, n))
+	}
+	for int(p) >= len(w.c) {
+		w.c = append(w.c, nil)
+	}
 	row := w.c[p]
-	if row == nil {
-		row = make(map[NodeID]model.Time)
-		w.c[p] = row
+	for int(n) >= len(row) {
+		row = append(row, 0)
 	}
 	row[n] = c
+	w.c[p] = row
 }
 
 // Get returns the WCET of process p on node n; ok is false when the
 // process cannot be mapped there.
 func (w *WCET) Get(p model.ProcID, n NodeID) (c model.Time, ok bool) {
-	c, ok = w.c[p][n]
-	return c, ok
+	row := w.row(p)
+	if n < 0 || int(n) >= len(row) {
+		return 0, false
+	}
+	c = row[n]
+	return c, c > 0
+}
+
+// row returns the entries of p by NodeID, or nil for an unknown process.
+func (w *WCET) row(p model.ProcID) []model.Time {
+	if p < 0 || int(p) >= len(w.c) {
+		return nil
+	}
+	return w.c[p]
 }
 
 // MustGet is Get for mappings already known to be legal.
@@ -134,12 +153,13 @@ func (w *WCET) MustGet(p model.ProcID, n NodeID) model.Time {
 // AllowedNodes returns, in ascending order, the nodes process p can be
 // mapped to (the set N_Pi of the paper).
 func (w *WCET) AllowedNodes(p model.ProcID) []NodeID {
-	row := w.c[p]
+	row := w.row(p)
 	out := make([]NodeID, 0, len(row))
-	for n := range row {
-		out = append(out, n)
+	for n, c := range row {
+		if c > 0 {
+			out = append(out, NodeID(n))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -147,15 +167,18 @@ func (w *WCET) AllowedNodes(p model.ProcID) []NodeID {
 // by mapping-independent priority functions. ok is false when p has no
 // allowed node.
 func (w *WCET) Average(p model.ProcID) (model.Time, bool) {
-	row := w.c[p]
-	if len(row) == 0 {
+	var sum model.Time
+	count := 0
+	for _, c := range w.row(p) {
+		if c > 0 {
+			sum += c
+			count++
+		}
+	}
+	if count == 0 {
 		return 0, false
 	}
-	var sum model.Time
-	for _, c := range row {
-		sum += c
-	}
-	return sum / model.Time(len(row)), true
+	return sum / model.Time(count), true
 }
 
 // Validate checks that every process of the merged graph can be mapped

@@ -53,12 +53,7 @@ func WriteDesign(w io.Writer, s *sched.Schedule) error {
 		}
 		b.WriteString("  }\n")
 	}
-	edgeIdx := make(map[[2]model.ProcID]int, len(s.In.Graph.Edges()))
-	for i, e := range s.In.Graph.Edges() {
-		edgeIdx[[2]model.ProcID{e.Src, e.Dst}] = i
-	}
-	for _, e := range s.In.Graph.Edges() {
-		idx := edgeIdx[[2]model.ProcID{e.Src, e.Dst}]
+	for idx, e := range s.In.Graph.Edges() {
 		for _, src := range s.Ex.Of(e.Src) {
 			sit := s.Item(src.ID)
 			for _, dst := range s.Ex.Of(e.Dst) {
@@ -66,7 +61,7 @@ func WriteDesign(w io.Writer, s *sched.Schedule) error {
 					fmt.Fprintf(&b, "  i%d -> i%d;\n", src.ID, dst.ID)
 					continue
 				}
-				if tr, ok := sit.Msgs[idx]; ok {
+				if tr, ok := sit.Msg(idx); ok {
 					fmt.Fprintf(&b, "  i%d -> i%d [style=dashed, label=\"bus [%v,%v)\"];\n",
 						src.ID, dst.ID, tr.Start, tr.Arrival)
 				}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Graph is one directed, acyclic process graph G(V, E) of an application.
@@ -17,10 +18,11 @@ type Graph struct {
 	procs []*Process
 	edges []Edge
 
-	// adjacency caches, rebuilt lazily after mutation
-	succs map[ProcID][]Edge
-	preds map[ProcID][]Edge
-	byID  map[ProcID]*Process
+	// adj is the dense adjacency, built on the first read after a
+	// mutation. A published Adjacency is never written again: mutation
+	// drops the pointer, and readers racing on a fresh graph each build
+	// a complete one and publish it whole.
+	adj atomic.Pointer[Adjacency]
 }
 
 // NewGraph returns an empty graph with the given period and deadline.
@@ -33,7 +35,7 @@ func NewGraph(name string, period, deadline Time) *Graph {
 // addProcess appends p; used by Application which owns ID allocation.
 func (g *Graph) addProcess(p *Process) *Process {
 	g.procs = append(g.procs, p)
-	g.invalidate()
+	g.adj.Store(nil)
 	return p
 }
 
@@ -45,24 +47,22 @@ func (g *Graph) AddEdge(src, dst *Process, bytes int) Edge {
 	}
 	e := Edge{Src: src.ID, Dst: dst.ID, Bytes: bytes}
 	g.edges = append(g.edges, e)
-	g.invalidate()
+	g.adj.Store(nil)
 	return e
 }
 
-func (g *Graph) invalidate() {
-	g.succs = nil
-	g.preds = nil
-	g.byID = nil
-}
-
-// Freeze eagerly builds the adjacency caches so that subsequent
-// read-only accessors (Process, Successors, Predecessors, Sources,
-// Sinks, …) never mutate the graph. Callers that share a graph across
-// goroutines — such as concurrent schedule builds over the same merged
-// graph — must call Freeze (or any cache-building accessor) before the
-// fan-out and must not add processes or edges afterwards.
-func (g *Graph) Freeze() {
-	g.buildAdjacency()
+// Adjacency returns the graph's dense adjacency, building it on the
+// first call after a mutation. Racing first calls may each build one,
+// but every caller gets a complete, never-modified index, so any number
+// of goroutines may read a graph concurrently; processes and edges must
+// not be added while others read it.
+func (g *Graph) Adjacency() *Adjacency {
+	if a := g.adj.Load(); a != nil {
+		return a
+	}
+	a := newAdjacency(g.procs, g.edges)
+	g.adj.Store(a)
+	return a
 }
 
 // Processes returns the processes of the graph in creation order.
@@ -78,45 +78,20 @@ func (g *Graph) NumProcesses() int { return len(g.procs) }
 
 // Process returns the process with the given ID, or nil if it does not
 // belong to this graph.
-func (g *Graph) Process(id ProcID) *Process {
-	g.buildAdjacency()
-	return g.byID[id]
-}
+func (g *Graph) Process(id ProcID) *Process { return g.Adjacency().Process(id) }
 
-func (g *Graph) buildAdjacency() {
-	if g.succs != nil {
-		return
-	}
-	g.succs = make(map[ProcID][]Edge, len(g.procs))
-	g.preds = make(map[ProcID][]Edge, len(g.procs))
-	g.byID = make(map[ProcID]*Process, len(g.procs))
-	for _, p := range g.procs {
-		g.byID[p.ID] = p
-	}
-	for _, e := range g.edges {
-		g.succs[e.Src] = append(g.succs[e.Src], e)
-		g.preds[e.Dst] = append(g.preds[e.Dst], e)
-	}
-}
+// Successors returns the outgoing edges of p in edge order.
+func (g *Graph) Successors(p ProcID) []Arc { return g.Adjacency().Successors(p) }
 
-// Successors returns the outgoing edges of p.
-func (g *Graph) Successors(p ProcID) []Edge {
-	g.buildAdjacency()
-	return g.succs[p]
-}
-
-// Predecessors returns the incoming edges of p.
-func (g *Graph) Predecessors(p ProcID) []Edge {
-	g.buildAdjacency()
-	return g.preds[p]
-}
+// Predecessors returns the incoming edges of p in edge order.
+func (g *Graph) Predecessors(p ProcID) []Arc { return g.Adjacency().Predecessors(p) }
 
 // Sources returns the processes without predecessors, ordered by ID.
 func (g *Graph) Sources() []*Process {
-	g.buildAdjacency()
+	a := g.Adjacency()
 	var out []*Process
 	for _, p := range g.procs {
-		if len(g.preds[p.ID]) == 0 {
+		if len(a.Predecessors(p.ID)) == 0 {
 			out = append(out, p)
 		}
 	}
@@ -126,10 +101,10 @@ func (g *Graph) Sources() []*Process {
 
 // Sinks returns the processes without successors, ordered by ID.
 func (g *Graph) Sinks() []*Process {
-	g.buildAdjacency()
+	a := g.Adjacency()
 	var out []*Process
 	for _, p := range g.procs {
-		if len(g.succs[p.ID]) == 0 {
+		if len(a.Successors(p.ID)) == 0 {
 			out = append(out, p)
 		}
 	}
@@ -145,26 +120,22 @@ func sortProcs(ps []*Process) {
 // order (Kahn's algorithm with smallest-ID-first tie breaking). It
 // returns an error if the graph contains a cycle.
 func (g *Graph) TopologicalOrder() ([]*Process, error) {
-	g.buildAdjacency()
-	indeg := make(map[ProcID]int, len(g.procs))
-	byID := make(map[ProcID]*Process, len(g.procs))
-	for _, p := range g.procs {
-		indeg[p.ID] = len(g.preds[p.ID])
-		byID[p.ID] = p
-	}
+	a := g.Adjacency()
+	indeg := make([]int, a.NumIDs())
 	var ready []ProcID
 	for _, p := range g.procs {
+		indeg[p.ID] = len(a.Predecessors(p.ID))
 		if indeg[p.ID] == 0 {
 			ready = append(ready, p.ID)
 		}
 	}
-	var order []*Process
+	order := make([]*Process, 0, len(g.procs))
 	for len(ready) > 0 {
 		sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
 		id := ready[0]
 		ready = ready[1:]
-		order = append(order, byID[id])
-		for _, e := range g.succs[id] {
+		order = append(order, a.Process(id))
+		for _, e := range a.Successors(id) {
 			indeg[e.Dst]--
 			if indeg[e.Dst] == 0 {
 				ready = append(ready, e.Dst)

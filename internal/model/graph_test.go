@@ -209,3 +209,85 @@ func TestMaxMinTime(t *testing.T) {
 		t.Error("MinTime wrong")
 	}
 }
+
+// TestAdjacencyArcs pins the arc contract the scheduler relies on: every
+// arc carries its edge's position in Edges(), arcs of one process are in
+// edge order, and IDs outside the graph read as absent.
+func TestAdjacencyArcs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	_, g := randomDAG(rng, 25)
+	a := g.Adjacency()
+	seen := 0
+	for _, p := range g.Processes() {
+		for _, arcs := range [][]Arc{a.Successors(p.ID), a.Predecessors(p.ID)} {
+			for i, arc := range arcs {
+				if g.Edges()[arc.Index] != arc.Edge {
+					t.Fatalf("arc %v has index %d, edge there is %v", arc.Edge, arc.Index, g.Edges()[arc.Index])
+				}
+				if i > 0 && arc.Index <= arcs[i-1].Index {
+					t.Fatalf("arcs of %v not in edge order", p)
+				}
+				seen++
+			}
+		}
+	}
+	if seen != 2*len(g.Edges()) {
+		t.Fatalf("adjacency holds %d arcs, want %d", seen, 2*len(g.Edges()))
+	}
+	for _, id := range []ProcID{-1, ProcID(a.NumIDs()), ProcID(a.NumIDs() + 7)} {
+		if a.Process(id) != nil || a.Successors(id) != nil || a.Predecessors(id) != nil {
+			t.Errorf("ID %d outside the graph is not absent", id)
+		}
+	}
+}
+
+// TestAdjacencyIDsNotFromZero: the second graph of an application has
+// IDs above 0; its adjacency indexes them exactly and treats the first
+// graph's IDs as foreign.
+func TestAdjacencyIDsNotFromZero(t *testing.T) {
+	app := NewApplication("two")
+	g1 := app.AddGraph("G1", Ms(100), Ms(100))
+	a1 := app.AddProcess(g1, "A")
+	g2 := app.AddGraph("G2", Ms(100), Ms(100))
+	b1 := app.AddProcess(g2, "B1")
+	b2 := app.AddProcess(g2, "B2")
+	g2.AddEdge(b1, b2, 2)
+	adj := g2.Adjacency()
+	if adj.Process(a1.ID) != nil || adj.Process(b1.ID) != b1 || adj.Process(b2.ID) != b2 {
+		t.Fatal("second graph indexes the wrong processes")
+	}
+	if s := adj.Successors(b1.ID); len(s) != 1 || s[0].Dst != b2.ID || s[0].Index != 0 {
+		t.Fatalf("successors of B1 = %v", s)
+	}
+	if app.Process(b2.ID) != b2 || app.GraphOf(b2.ID) != g2 || app.GraphOf(a1.ID) != g1 {
+		t.Fatal("application lookups across graphs broken")
+	}
+}
+
+// TestGraphConcurrentFirstRead: goroutines reading a graph that nobody
+// froze each see a complete adjacency (run under -race: reads must not
+// write shared state), and a mutation afterwards is reflected.
+func TestGraphConcurrentFirstRead(t *testing.T) {
+	_, g, ps := buildDiamond(t)
+	done := make(chan int, 4)
+	for i := 0; i < cap(done); i++ {
+		go func() {
+			n := 0
+			for _, p := range g.Processes() {
+				if g.Process(p.ID) == p {
+					n += len(g.Successors(p.ID)) + len(g.Predecessors(p.ID))
+				}
+			}
+			done <- n
+		}()
+	}
+	for i := 0; i < cap(done); i++ {
+		if n := <-done; n != 8 {
+			t.Fatalf("reader saw %d arcs, want 8", n)
+		}
+	}
+	g.AddEdge(ps[0], ps[3], 1)
+	if got := len(g.Successors(ps[0].ID)); got != 3 {
+		t.Fatalf("after AddEdge P1 has %d successors, want 3", got)
+	}
+}

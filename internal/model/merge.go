@@ -62,7 +62,7 @@ func (a *Application) Merge() (*Graph, error) {
 			}
 		}
 	}
-	merged.invalidate()
+	merged.adj.Store(nil)
 	if _, err := merged.TopologicalOrder(); err != nil {
 		return nil, err
 	}

@@ -57,43 +57,18 @@ func (in *Instance) String() string { return in.Name() }
 // of a successor consumes the output of every replica of a predecessor).
 type Expansion struct {
 	Instances []*Instance
-	byProc    map[model.ProcID][]*Instance // keyed by merged-graph ProcID
-	graph     *model.Graph
+	// byProc is indexed by merged-graph ProcID. Instances are laid out
+	// process by process, so each entry is a subslice of Instances.
+	byProc [][]*Instance
+	graph  *model.Graph
 }
 
 // Expand instantiates the replica instances of every process of the
 // merged graph according to the assignment. WCETs are resolved from the
-// table; unmappable replicas are an error.
+// table; unmappable replicas are an error. The result is independent of
+// any later call.
 func Expand(g *model.Graph, asgn Assignment, w *arch.WCET) (*Expansion, error) {
-	ex := &Expansion{byProc: make(map[model.ProcID][]*Instance, g.NumProcesses()), graph: g}
-	var next InstID
-	for _, proc := range g.Processes() {
-		pol, ok := asgn[proc.Origin]
-		if !ok {
-			return nil, fmt.Errorf("policy: process %s has no policy", proc)
-		}
-		single := len(pol.Replicas) == 1
-		for ri, rep := range pol.Replicas {
-			c, ok := w.Get(proc.Origin, rep.Node)
-			if !ok {
-				return nil, fmt.Errorf("policy: process %s replica %d not mappable on node %d", proc, ri, rep.Node)
-			}
-			in := &Instance{
-				ID:          next,
-				Proc:        proc,
-				Replica:     ri,
-				Node:        rep.Node,
-				Reexec:      rep.Reexec,
-				Checkpoints: rep.Checkpoints,
-				WCET:        c,
-			}
-			in.singleReplica = single
-			next++
-			ex.Instances = append(ex.Instances, in)
-			ex.byProc[proc.ID] = append(ex.byProc[proc.ID], in)
-		}
-	}
-	return ex, nil
+	return new(ExpandScratch).Expand(g, asgn, w)
 }
 
 // ExpandScratch makes Expand reusable without allocating: instances are
@@ -105,46 +80,67 @@ func Expand(g *model.Graph, asgn Assignment, w *arch.WCET) (*Expansion, error) {
 // over the same graph allocates nothing in steady state.
 type ExpandScratch struct {
 	insts []Instance
+	ptrs  []*Instance   // Expansion.Instances backing
+	procs [][]*Instance // Expansion.byProc backing, by ProcID
+	pols  []Policy      // policy of each process, in graph order
 	ex    Expansion
 }
 
-// Expand is the scratch-reusing variant of the package-level Expand. It
-// produces an Expansion with identical contents (same instance order,
-// IDs, WCETs and names) — pointer identity aside — so scheduling results
-// are bit-identical to the allocating path.
+// grow sizes the per-process buffers for a graph of n processes whose
+// ProcID-indexed tables are ids long. Buffers only ever grow, so a
+// scratch reallocates only when a larger graph or assignment arrives.
+func (sc *ExpandScratch) grow(n, ids int) {
+	if cap(sc.pols) < n {
+		sc.pols = make([]Policy, n)
+	}
+	sc.pols = sc.pols[:n]
+	if cap(sc.procs) < ids {
+		sc.procs = make([][]*Instance, ids)
+	}
+	sc.procs = sc.procs[:ids]
+	clear(sc.procs)
+}
+
+// growInstances sizes the instance arenas for total instances.
+func (sc *ExpandScratch) growInstances(total int) {
+	if cap(sc.insts) < total {
+		sc.insts = make([]Instance, total)
+		sc.ptrs = make([]*Instance, total)
+	}
+	sc.insts = sc.insts[:total]
+	sc.ptrs = sc.ptrs[:total]
+}
+
+// Expand is the scratch-reusing variant of the package-level Expand: the
+// instance order, IDs, WCETs and names are the same for every scratch,
+// so scheduling results never depend on which one built them.
 //
 //ftdse:hotpath
 func (sc *ExpandScratch) Expand(g *model.Graph, asgn Assignment, w *arch.WCET) (*Expansion, error) {
+	procs := g.Processes()
+	sc.grow(len(procs), g.Adjacency().NumIDs())
 	// Count first so the arena never reallocates while instance pointers
 	// are being handed out.
 	total := 0
-	for _, proc := range g.Processes() {
+	for i, proc := range procs {
 		pol, ok := asgn[proc.Origin]
 		if !ok {
 			return nil, fmt.Errorf("policy: process %s has no policy", proc)
 		}
+		sc.pols[i] = pol
 		total += len(pol.Replicas)
 	}
-	if cap(sc.insts) < total {
-		sc.insts = make([]Instance, total) //ftlint:allow hotpath grow-once arena: reallocates only when a larger assignment arrives
-	}
-	sc.insts = sc.insts[:total]
+	sc.growInstances(total)
 
 	ex := &sc.ex
 	ex.graph = g
-	ex.Instances = ex.Instances[:0]
-	if ex.byProc == nil {
-		ex.byProc = make(map[model.ProcID][]*Instance, g.NumProcesses()) //ftlint:allow hotpath first call on this scratch; the index map is recycled afterwards
-	} else {
-		for id := range ex.byProc {
-			ex.byProc[id] = ex.byProc[id][:0]
-		}
-	}
-
+	ex.Instances = sc.ptrs
+	ex.byProc = sc.procs
 	var next InstID
-	for _, proc := range g.Processes() {
-		pol := asgn[proc.Origin]
+	for i, proc := range procs {
+		pol := sc.pols[i]
 		single := len(pol.Replicas) == 1
+		first := next
 		for ri, rep := range pol.Replicas {
 			c, ok := w.Get(proc.Origin, rep.Node)
 			if !ok {
@@ -161,17 +157,22 @@ func (sc *ExpandScratch) Expand(g *model.Graph, asgn Assignment, w *arch.WCET) (
 				WCET:        c,
 			}
 			in.singleReplica = single
+			ex.Instances[next] = in
 			next++
-			ex.Instances = append(ex.Instances, in)             //ftlint:allow hotpath amortized growth: the recycled shell keeps its capacity
-			ex.byProc[proc.ID] = append(ex.byProc[proc.ID], in) //ftlint:allow hotpath amortized growth: per-process buckets keep their capacity
 		}
+		ex.byProc[proc.ID] = ex.Instances[first:next:next]
 	}
 	return ex, nil
 }
 
 // Of returns the replica instances of the merged-graph process id, in
-// replica order.
-func (ex *Expansion) Of(id model.ProcID) []*Instance { return ex.byProc[id] }
+// replica order; none for an ID outside the graph.
+func (ex *Expansion) Of(id model.ProcID) []*Instance {
+	if id < 0 || int(id) >= len(ex.byProc) {
+		return nil
+	}
+	return ex.byProc[id]
+}
 
 // Graph returns the merged graph the expansion was built from.
 func (ex *Expansion) Graph() *model.Graph { return ex.graph }

@@ -29,8 +29,8 @@ func TestDebugMismatch(t *testing.T) {
 					t.Logf("  %-6s node %d pos %d nomStart %v | sim alive=%v fin=%v | rt alive=%v fin=%v",
 						it.Inst.Name(), it.Inst.Node, it.NodePos, it.NominalStart,
 						a.Alive[id], a.Finish[id], b.Alive[id], b.Finish[id])
-					for idx, tr := range it.Msgs {
-						t.Logf("      msg e%d %v", idx, tr)
+					for _, m := range it.Msgs {
+						t.Logf("      msg e%d %v", m.Edge, m.Transmission)
 					}
 				}
 				for _, e := range s.In.Graph.Edges() {

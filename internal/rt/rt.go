@@ -111,8 +111,6 @@ type engine struct {
 	// instance) one delivery record.
 	inputs map[policy.InstID]map[int]map[policy.InstID]*delivery
 
-	edgeIdx map[[2]model.ProcID]int
-
 	res *Result
 }
 
@@ -129,15 +127,11 @@ func Run(s *sched.Schedule, sc sim.Scenario) *Result {
 		alive:    make(map[policy.InstID]bool),
 		done:     make(map[policy.InstID]bool),
 		inputs:   make(map[policy.InstID]map[int]map[policy.InstID]*delivery),
-		edgeIdx:  make(map[[2]model.ProcID]int),
 		res: &Result{
 			Finish:   make(map[policy.InstID]model.Time),
 			Alive:    make(map[policy.InstID]bool),
 			ProcDone: make(map[model.ProcID]model.Time),
 		},
-	}
-	for i, ed := range s.In.Graph.Edges() {
-		e.edgeIdx[[2]model.ProcID{ed.Src, ed.Dst}] = i
 	}
 	e.setupInputs()
 	e.scheduleTransmissions()
@@ -165,14 +159,14 @@ func (e *engine) setupInputs() {
 		recv := it.Inst
 		m := make(map[int]map[policy.InstID]*delivery)
 		for _, ed := range g.Predecessors(recv.Proc.ID) {
-			idx := e.edgeIdx[[2]model.ProcID{ed.Src, ed.Dst}]
+			idx := ed.Index
 			srcs := make(map[policy.InstID]*delivery)
 			for _, src := range e.s.Ex.Of(ed.Src) {
 				if src.Node == recv.Node {
 					srcs[src.ID] = &delivery{}
 					continue
 				}
-				if _, ok := e.s.Item(src.ID).Msgs[idx]; ok {
+				if _, ok := e.s.Item(src.ID).Msg(idx); ok {
 					srcs[src.ID] = &delivery{}
 				}
 				// Remote replicas without a broadcast cannot deliver
@@ -191,15 +185,10 @@ func (e *engine) setupInputs() {
 func (e *engine) scheduleTransmissions() {
 	for _, it := range e.s.Items() {
 		sender := it.Inst
-		// Post in edge order: event-queue ties break on insertion
-		// sequence, so map order here would leak into the trace.
-		idxs := make([]int, 0, len(it.Msgs))
-		for idx := range it.Msgs {
-			idxs = append(idxs, idx)
-		}
-		sort.Ints(idxs)
-		for _, idx := range idxs {
-			idx, tr := idx, it.Msgs[idx]
+		// Msgs is in edge order, which keeps the event queue's
+		// insertion-sequence tie breaking deterministic.
+		for _, m := range it.Msgs {
+			idx, tr := m.Edge, m.Transmission
 			e.post(tr.Start, phaseFrame, func() {
 				valid := e.done[sender.ID] && e.alive[sender.ID] && e.finish[sender.ID] <= e.now
 				at := tr.Arrival
@@ -237,7 +226,7 @@ func (e *engine) deliver(edgeIdx int, src policy.InstID, valid bool, at model.Ti
 func (e *engine) resolveLocal(src *policy.Instance, valid bool, at model.Time) {
 	g := e.s.In.Graph
 	for _, ed := range g.Successors(src.Proc.ID) {
-		idx := e.edgeIdx[[2]model.ProcID{ed.Src, ed.Dst}]
+		idx := ed.Index
 		for _, recv := range e.s.Ex.Of(ed.Dst) {
 			if recv.Node != src.Node {
 				continue

@@ -146,4 +146,18 @@ func TestValidateScheduleCatchesCorruption(t *testing.T) {
 	if err := ValidateSchedule(sch); err != nil {
 		t.Fatalf("schedule not restored: %v", err)
 	}
+	t.Run("duplicate broadcast", func(t *testing.T) {
+		remote := mustBuild(t, s.input(t, fm, policy.Assignment{
+			a.ID: policy.Reexecution(0, 1),
+			b.ID: policy.Reexecution(1, 1),
+		}))
+		it := remote.Item(remote.Ex.Of(s.mergedID(t, "A"))[0].ID)
+		if len(it.Msgs) != 1 {
+			t.Fatalf("A sends %d broadcasts, want 1", len(it.Msgs))
+		}
+		it.Msgs = append(it.Msgs, it.Msgs[0])
+		if err := ValidateSchedule(remote); err == nil {
+			t.Error("validator accepted two broadcasts on one edge")
+		}
+	})
 }

@@ -57,10 +57,10 @@ type Input struct {
 	// (assignment-dependent errors are still caught during placement).
 	//
 	// A non-nil Static additionally licenses concurrent Build calls
-	// over the same input: NewStatic freezes the graph's lazy adjacency
-	// caches, Static itself is never written after construction, and
-	// Build allocates all mutable state (builder, timelines, bus
-	// allocator, schedule) per call. Callers must treat Graph, Arch,
+	// over the same input: NewStatic builds the graph's adjacency once,
+	// Static itself is never written after construction, and every
+	// build keeps its mutable state (builder, timelines, bus allocator,
+	// schedule) in its own scratch. Callers must treat Graph, Arch,
 	// WCET, Bus and Static as strictly read-only for the duration of
 	// any concurrent builds; each concurrent call needs its own
 	// Assignment (the built Schedule retains it).
@@ -69,12 +69,12 @@ type Input struct {
 
 // Static is the assignment-independent part of a scheduling context.
 type Static struct {
-	prio    map[model.ProcID]model.Time
-	edgeIdx map[[2]model.ProcID]int
+	adj  *model.Adjacency // the graph's own adjacency, shared read-only
+	prio []model.Time     // bottom levels, indexed by ProcID
 }
 
 // NewStatic validates the assignment-independent inputs and precomputes
-// the priorities and edge index for repeated Build calls.
+// the priorities for repeated Build calls.
 func NewStatic(in Input) (*Static, error) {
 	probe := in
 	probe.Static = nil
@@ -82,18 +82,7 @@ func NewStatic(in Input) (*Static, error) {
 	if err := probe.validateStatic(); err != nil {
 		return nil, err
 	}
-	// Freeze the graph so concurrent Build calls sharing this Static
-	// only ever read it (the lazy adjacency caches are built once here,
-	// not under the fan-out).
-	in.Graph.Freeze()
-	st := &Static{
-		prio:    BottomLevels(in),
-		edgeIdx: make(map[[2]model.ProcID]int, len(in.Graph.Edges())),
-	}
-	for i, e := range in.Graph.Edges() {
-		st.edgeIdx[[2]model.ProcID{e.Src, e.Dst}] = i
-	}
-	return st, nil
+	return &Static{adj: in.Graph.Adjacency(), prio: BottomLevels(in)}, nil
 }
 
 // validateStatic checks the assignment-independent invariants.

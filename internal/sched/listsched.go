@@ -3,24 +3,22 @@ package sched
 import (
 	"fmt"
 
-	"repro/ftdse/internal/arch"
 	"repro/ftdse/internal/model"
 	"repro/ftdse/internal/policy"
-	"repro/ftdse/internal/ttp"
 )
 
 // Build runs the list scheduler (Section 5.1 of the paper) and returns
 // the synthesized schedule with its worst-case analysis. The caller owns
-// the policy assignment; Build never mutates the input.
-func Build(in Input) (*Schedule, error) { return BuildInto(nil, in) }
+// the policy assignment; Build never mutates the input. The schedule
+// owns its storage (a scratch of its own) and may be retained.
+func Build(in Input) (*Schedule, error) { return BuildInto(&Scratch{labels: true}, in) }
 
-// BuildInto is Build with an optional reusable arena: with a non-nil
-// scratch the construction allocates (in steady state) nothing, reusing
-// the scratch's buffers for the expansion, items, analysis rows, bus
-// and index maps. The untimed analysis results are bit-identical to
-// Build's — the arena only changes where the bytes live — except that
-// bus transmissions carry empty display labels (cost-only callers never
-// read them; keepers are rebuilt with Build).
+// BuildInto is Build into a reusable arena: with a warm scratch the
+// construction allocates nothing, reusing the scratch's buffers for the
+// expansion, items, analysis rows and bus. The untimed analysis results
+// are bit-identical to Build's — the arena only changes where the bytes
+// live — except that bus transmissions carry empty display labels
+// (cost-only callers never read them; keepers are rebuilt with Build).
 //
 // The returned Schedule is owned by the scratch and valid only until
 // the next BuildInto with the same scratch; see Scratch.
@@ -38,101 +36,56 @@ func BuildInto(sc *Scratch, in Input) (*Schedule, error) {
 			return nil, err
 		}
 	}
-	var (
-		ex  *policy.Expansion
-		err error
-	)
-	if sc != nil {
-		ex, err = sc.exp.Expand(in.Graph, in.Assignment, in.WCET)
-	} else {
-		ex, err = policy.Expand(in.Graph, in.Assignment, in.WCET)
-	}
+	ex, err := sc.exp.Expand(in.Graph, in.Assignment, in.WCET)
 	if err != nil {
 		return nil, err
 	}
-	var b *builder
-	if sc != nil {
-		b = sc.prepare(in, ex, st)
-	} else {
-		b = newFreshBuilder(in, ex, st)
-	}
+	b := sc.prepare(in, ex, st)
 	if err := b.run(); err != nil {
 		return nil, err
 	}
 	return b.s, nil
 }
 
-// newFreshBuilder is the cold (scratch-less) construction path of
-// Build: every buffer a scratch would recycle is allocated here.
-func newFreshBuilder(in Input, ex *policy.Expansion, st *Static) *builder {
-	b := &builder{
-		s: &Schedule{
-			In:       in,
-			Ex:       ex,
-			items:    make([]*Item, ex.NumInstances()),
-			nodeSeq:  make(map[arch.NodeID][]*Item, in.Arch.NumNodes()),
-			bus:      ttp.NewBus(in.Bus),
-			procDone: make(map[model.ProcID]procResult, in.Graph.NumProcesses()),
-		},
-		timelines: make([]*nodeTimeline, in.Arch.NumNodes()),
-		edgeIdx:   st.edgeIdx,
-		prio:      st.prio,
-	}
-	for _, n := range in.Arch.Nodes() {
-		b.timelines[n.ID] = newNodeTimeline(in.Faults.K, in.Faults.Mu, in.Options.SlackSharing)
-	}
-	return b
-}
-
+// builder is the state of one schedule construction. Its buffers live in
+// a Scratch and are sized by Scratch.prepare before every build, so the
+// construction itself only writes into them.
 type builder struct {
 	s         *Schedule
-	timelines []*nodeTimeline // indexed by NodeID
-	edgeIdx   map[[2]model.ProcID]int
-	prio      map[model.ProcID]model.Time
+	adj       *model.Adjacency
+	prio      []model.Time    // by ProcID
+	timelines []*nodeTimeline // by NodeID
+	labels    bool            // format transmission display labels
 
-	// Arena mode (scratch builds): item values and analysis rows come
-	// from these backings instead of per-placement allocations, and
-	// transmission labels are skipped (noLabels). nil/false in fresh
-	// builds.
-	itemArena []Item
-	rowArena  []model.Time
-	noLabels  bool
+	items   []Item       // item values, by InstID
+	rows    []model.Time // survRow backing: NumInstances × (k+1)
+	msgs    []Broadcast  // Item.Msgs backing, handed out in placement order
+	nextMsg int
 
-	// ready-list state reused across builds via the scratch
-	indeg map[model.ProcID]int
-	ready []*model.Process
-
-	// scratch buffers reused across placements
-	grBuf     []model.Time
-	remoteBuf []candidate
-	complBuf  []completionCand
+	indeg  []int            // by ProcID
+	ready  []model.ProcID   // one entry per process
+	gr     []model.Time     // k+1
+	remote []candidate      // one entry per replica of a process
+	compl  []completionCand // one entry per replica of a process
 }
 
-// itemFor returns the Item storage of an instance: an arena slot in
-// scratch builds (its recycled Msgs map, emptied, survives for reuse),
-// a fresh allocation otherwise.
+// itemFor returns the emptied Item of an instance, with room for one
+// broadcast per outgoing edge of its process.
 //
 //ftdse:hotpath
-func (b *builder) itemFor(id policy.InstID) *Item {
-	if b.itemArena != nil {
-		it := &b.itemArena[id]
-		msgs := it.Msgs
-		clear(msgs)
-		*it = Item{Msgs: msgs}
-		return it
-	}
-	return new(Item) //ftlint:allow hotpath cold branch: fresh (scratch-less) builds allocate per item
+func (b *builder) itemFor(id policy.InstID, outEdges int) *Item {
+	it := &b.items[id]
+	*it = Item{Msgs: b.msgs[b.nextMsg : b.nextMsg : b.nextMsg+outEdges]}
+	b.nextMsg += outEdges
+	return it
 }
 
 // rowFor returns the survRow backing of an instance (len k+1).
 //
 //ftdse:hotpath
 func (b *builder) rowFor(id policy.InstID, k int) []model.Time {
-	if b.rowArena != nil {
-		i := int(id) * (k + 1)
-		return b.rowArena[i : i+k+1 : i+k+1]
-	}
-	return make([]model.Time, k+1) //ftlint:allow hotpath cold branch: fresh (scratch-less) builds allocate per row
+	i := int(id) * (k + 1)
+	return b.rows[i : i+k+1 : i+k+1]
 }
 
 // run drives the ready-list loop: in every iteration the ready process
@@ -143,48 +96,47 @@ func (b *builder) rowFor(id policy.InstID, k int) []model.Time {
 //
 //ftdse:hotpath
 func (b *builder) run() error {
-	in := b.s.In
-	g := in.Graph
+	g := b.s.In.Graph
+	adj, prio, indeg, ready := b.adj, b.prio, b.indeg, b.ready
 
-	if b.indeg == nil {
-		b.indeg = make(map[model.ProcID]int, g.NumProcesses()) //ftlint:allow hotpath first build with a scratch; recycled (cleared) afterwards
-	} else {
-		clear(b.indeg)
-	}
-	indeg := b.indeg
-	ready := b.ready[:0]
+	nready := 0
 	for _, p := range g.Processes() {
-		indeg[p.ID] = len(g.Predecessors(p.ID))
+		indeg[p.ID] = len(adj.Predecessors(p.ID))
 		if indeg[p.ID] == 0 {
-			ready = append(ready, p) //ftlint:allow hotpath amortized growth: capacity persists in the scratch across builds
+			ready[nready] = p.ID
+			nready++
 		}
 	}
 	scheduled := 0
-	for len(ready) > 0 {
+	for nready > 0 {
 		// Extract the highest-priority ready process (ties: smaller ID).
+		// The order is total, so the list's own order is irrelevant and
+		// extraction swaps the last entry into the hole.
 		best := 0
-		for i := 1; i < len(ready); i++ {
-			pi, pb := b.prio[ready[i].ID], b.prio[ready[best].ID]
-			if pi > pb || (pi == pb && ready[i].ID < ready[best].ID) {
+		for i := 1; i < nready; i++ {
+			pi, pb := prio[ready[i]], prio[ready[best]]
+			if pi > pb || (pi == pb && ready[i] < ready[best]) {
 				best = i
 			}
 		}
-		p := ready[best]
-		ready = append(ready[:best], ready[best+1:]...) //ftlint:allow hotpath removal within capacity; never grows
+		id := ready[best]
+		nready--
+		ready[best] = ready[nready]
 
-		if err := b.placeProcess(p); err != nil {
+		if err := b.placeProcess(adj.Process(id)); err != nil {
 			return err
 		}
 		scheduled++
 
-		for _, e := range g.Successors(p.ID) {
+		// Every process enters the list once, so it never overflows.
+		for _, e := range adj.Successors(id) {
 			indeg[e.Dst]--
 			if indeg[e.Dst] == 0 {
-				ready = append(ready, g.Process(e.Dst)) //ftlint:allow hotpath amortized growth: capacity persists in the scratch across builds
+				ready[nready] = e.Dst
+				nready++
 			}
 		}
 	}
-	b.ready = ready[:0] // persist grown capacity into the scratch
 	if scheduled != g.NumProcesses() {
 		return fmt.Errorf("sched: scheduled %d of %d processes (cycle?)", scheduled, g.NumProcesses())
 	}
@@ -200,8 +152,10 @@ func (b *builder) placeProcess(p *model.Process) error {
 	in := b.s.In
 	ex := b.s.Ex
 	k := in.Faults.K
+	reps := ex.Of(p.ID)
+	succs := b.adj.Successors(p.ID)
 
-	for _, inst := range ex.Of(p.ID) {
+	for _, inst := range reps {
 		gr, nr, bindOn, bindKind, err := b.readiness(p, inst)
 		if err != nil {
 			return err
@@ -210,9 +164,8 @@ func (b *builder) placeProcess(p *model.Process) error {
 		pl := nt.placeRow(inst.ID, gr, nr,
 			inst.ExecTime(in.Faults.Chi), inst.RecoverTime(in.Faults.Mu), inst.Reexec,
 			b.rowFor(inst.ID, k))
-		item := b.itemFor(inst.ID)
+		item := b.itemFor(inst.ID, len(succs))
 		item.Inst = inst
-		item.NodePos = len(b.s.nodeSeq[inst.Node])
 		item.NominalStart = pl.nominalStart
 		item.NominalFinish = pl.nominalFinish
 		item.GuaranteedReady = gr[k]
@@ -226,19 +179,23 @@ func (b *builder) placeProcess(p *model.Process) error {
 			item.BindOn = pl.prevInst
 		}
 		b.s.items[inst.ID] = item
-		b.s.nodeSeq[inst.Node] = append(b.s.nodeSeq[inst.Node], item) //ftlint:allow hotpath amortized growth: per-node slices keep their capacity in the scratch
+		// prepare sized each node's table for all of its instances.
+		seq := b.s.nodeSeq[inst.Node]
+		item.NodePos = len(seq)
+		seq = seq[:len(seq)+1]
+		seq[item.NodePos] = item
+		b.s.nodeSeq[inst.Node] = seq
 	}
 
 	// Per-process worst-case completion: the adversarial first-valid
 	// completion over the replicas of p.
-	cands := b.complBuf[:0]
+	cands := b.compl[:len(reps)]
 	nominal := model.Infinity
-	for _, inst := range ex.Of(p.ID) {
+	for i, inst := range reps {
 		it := b.s.items[inst.ID]
-		cands = append(cands, completionCand{row: it.wcRow, cost: inst.Reexec + 1, inst: inst.ID}) //ftlint:allow hotpath amortized growth: complBuf capacity persists in the scratch
+		cands[i] = completionCand{row: it.wcRow, cost: inst.Reexec + 1, inst: inst.ID}
 		nominal = model.MinTime(nominal, it.NominalFinish)
 	}
-	b.complBuf = cands
 	done, bindOn, ok := guaranteedCompletion(cands, k)
 	if !ok {
 		return fmt.Errorf("sched: policy of process %s does not tolerate %d faults", p, k)
@@ -248,6 +205,7 @@ func (b *builder) placeProcess(p *model.Process) error {
 		nominal:    nominal,
 		bindOn:     bindOn,
 		deadline:   p.Deadline,
+		placed:     true,
 	}
 
 	// Broadcast messages: one transmission per (sender instance,
@@ -255,10 +213,9 @@ func (b *builder) placeProcess(p *model.Process) error {
 	// send slot starts at or after the sender's worst-case surviving
 	// completion, which makes faults of the sender's node invisible to
 	// the receivers (transparent re-execution, Figure 4a).
-	for _, e := range in.Graph.Successors(p.ID) {
-		idx := b.edgeIdx[[2]model.ProcID{e.Src, e.Dst}]
+	for _, e := range succs {
 		receivers := ex.Of(e.Dst)
-		for _, sender := range ex.Of(p.ID) {
+		for _, sender := range reps {
 			remote := false
 			for _, r := range receivers {
 				if r.Node != sender.Node {
@@ -271,19 +228,18 @@ func (b *builder) placeProcess(p *model.Process) error {
 			}
 			it := b.s.items[sender.ID]
 			var label string
-			if !b.noLabels {
+			if b.labels {
 				// Labels are display-only; cost-only scratch builds skip
 				// the formatting (an allocation per message).
-				label = fmt.Sprintf("m%d:%s", idx, sender.Name()) //ftlint:allow hotpath display labels are formatted in fresh builds only (noLabels gates scratch builds)
+				label = fmt.Sprintf("m%d:%s", e.Index, sender.Name()) //ftlint:allow hotpath display labels are formatted by Build only (scratch builds leave labels off)
 			}
 			tr, err := b.s.bus.Reserve(sender.Node, it.SendReady, e.Bytes, label)
 			if err != nil {
 				return err
 			}
-			if it.Msgs == nil {
-				it.Msgs = make(map[int]ttp.Transmission, 1) //ftlint:allow hotpath first build with a scratch; the msgs map is recycled by itemFor afterwards
-			}
-			it.Msgs[idx] = tr
+			// itemFor left room for one message per outgoing edge.
+			it.Msgs = it.Msgs[:len(it.Msgs)+1]
+			it.Msgs[len(it.Msgs)-1] = Broadcast{Edge: e.Index, Transmission: tr}
 		}
 	}
 	return nil
@@ -314,19 +270,16 @@ func (b *builder) readiness(p *model.Process, inst *policy.Instance) (gr []model
 	ex := b.s.Ex
 	k := in.Faults.K
 
-	if cap(b.grBuf) < k+1 {
-		b.grBuf = make([]model.Time, k+1) //ftlint:allow hotpath grow-once: k is fixed per problem, so this runs on the first build only
-	}
-	gr = b.grBuf[:k+1]
+	gr = b.gr
 	for f := range gr {
 		gr[f] = p.Release
 	}
 	nr = p.Release
 	bindOn, bindKind = NoInst, BindRelease
 
-	for _, e := range in.Graph.Predecessors(p.ID) {
-		idx := b.edgeIdx[[2]model.ProcID{e.Src, e.Dst}]
-		remotes := b.remoteBuf[:0]
+	for _, e := range b.adj.Predecessors(p.ID) {
+		remotes := b.remote
+		nremote := 0
 		localCost := -1 // kill cost of the local replica, -1 when absent
 		nomBest := model.Infinity
 		for _, src := range ex.Of(e.Src) {
@@ -340,15 +293,16 @@ func (b *builder) readiness(p *model.Process, inst *policy.Instance) (gr []model
 				nomBest = model.MinTime(nomBest, it.NominalFinish)
 				continue
 			}
-			tr, ok := it.Msgs[idx]
+			tr, ok := it.Msg(e.Index)
 			if !ok {
 				return nil, 0, NoInst, BindRelease,
 					fmt.Errorf("sched: missing broadcast of %s for edge %v", src, e)
 			}
-			remotes = append(remotes, candidate{avail: tr.Arrival, killCost: src.Reexec + 1, inst: src.ID}) //ftlint:allow hotpath amortized growth: remoteBuf capacity persists in the scratch
+			remotes[nremote] = candidate{avail: tr.Arrival, killCost: src.Reexec + 1, inst: src.ID}
+			nremote++
 			nomBest = model.MinTime(nomBest, tr.Arrival)
 		}
-		b.remoteBuf = remotes
+		remotes = remotes[:nremote]
 		nr = model.MaxTime(nr, nomBest)
 
 		// gr[f]: the worst-case first-valid arrival when the adversary

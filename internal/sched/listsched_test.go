@@ -151,7 +151,7 @@ func checkScheduleInvariants(t *testing.T, s *Schedule) bool {
 		for _, e := range in.Graph.Predecessors(p.ID) {
 			idx := -1
 			for i, ge := range in.Graph.Edges() {
-				if ge == e {
+				if ge == e.Edge {
 					idx = i
 					break
 				}
@@ -163,7 +163,7 @@ func checkScheduleInvariants(t *testing.T, s *Schedule) bool {
 					sit := s.Item(src.ID)
 					if src.Node == d.Node {
 						earliest = model.MinTime(earliest, sit.NominalFinish)
-					} else if tr, ok := sit.Msgs[idx]; ok {
+					} else if tr, ok := sit.Msg(idx); ok {
 						earliest = model.MinTime(earliest, tr.Arrival)
 					}
 				}

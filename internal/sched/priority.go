@@ -11,16 +11,17 @@ import (
 // average WCET and edge cost is an estimate of the bus delay (payload
 // transmission plus half a TDMA round of expected waiting). Higher
 // values mean more urgent. The optimizer reuses it for utilization-
-// balanced initial mapping.
-func BottomLevels(in Input) map[model.ProcID]model.Time {
+// balanced initial mapping. The result is indexed by ProcID.
+func BottomLevels(in Input) []model.Time {
 	g := in.Graph
 	order, err := g.TopologicalOrder()
 	if err != nil {
 		// Input.Validate rejects cyclic graphs before we get here.
 		panic("sched: bottomLevels on cyclic graph")
 	}
+	adj := g.Adjacency()
 	half := in.Bus.RoundLength() / 2
-	bl := make(map[model.ProcID]model.Time, len(order))
+	bl := make([]model.Time, adj.NumIDs())
 	for i := len(order) - 1; i >= 0; i-- {
 		p := order[i]
 		avg, ok := in.WCET.Average(p.Origin)
@@ -28,7 +29,7 @@ func BottomLevels(in Input) map[model.ProcID]model.Time {
 			avg = 0
 		}
 		best := model.Time(0)
-		for _, e := range g.Successors(p.ID) {
+		for _, e := range adj.Successors(p.ID) {
 			est := model.Time(e.Bytes)*in.Bus.PerByte + half + bl[e.Dst]
 			if est > best {
 				best = est

@@ -68,14 +68,32 @@ type Item struct {
 	Bind   BindKind
 	BindOn policy.InstID
 
-	// Msgs holds the broadcast transmission per outgoing edge index (in
-	// merged-graph edge order); only edges with at least one remote
-	// receiver are present.
-	Msgs map[int]ttp.Transmission
+	// Msgs holds the broadcast transmissions of the instance, one per
+	// outgoing edge with at least one remote receiver, in edge-index
+	// order. Msg looks one up by edge.
+	Msgs []Broadcast
 
 	// wcRow[f] is the worst-case surviving completion under at most f
 	// faults on the instance's node timeline (f = 0..k).
 	wcRow []model.Time
+}
+
+// Broadcast is one bus message of an item: the transmission of its
+// output over a merged-graph edge.
+type Broadcast struct {
+	Edge int // index of the edge in Graph.Edges()
+	ttp.Transmission
+}
+
+// Msg returns the item's transmission over the merged-graph edge with
+// index edge; ok is false when the item broadcasts nothing on it.
+func (it *Item) Msg(edge int) (tr ttp.Transmission, ok bool) {
+	for i := range it.Msgs {
+		if it.Msgs[i].Edge == edge {
+			return it.Msgs[i].Transmission, true
+		}
+	}
+	return ttp.Transmission{}, false
 }
 
 // WCRow returns the worst-case surviving completion of the item under at
@@ -96,6 +114,7 @@ type procResult struct {
 	nominal    model.Time // fault-free first completion
 	bindOn     policy.InstID
 	deadline   model.Time // effective deadline, <=0 when unconstrained
+	placed     bool       // false until the process has been scheduled
 }
 
 // Schedule is the synthesized system configuration: per-node schedule
@@ -104,11 +123,11 @@ type Schedule struct {
 	In Input
 	Ex *policy.Expansion
 
-	items   []*Item // indexed by InstID
-	nodeSeq map[arch.NodeID][]*Item
+	items   []*Item   // indexed by InstID
+	nodeSeq [][]*Item // indexed by NodeID
 	bus     *ttp.Bus
 
-	procDone map[model.ProcID]procResult // keyed by merged ProcID
+	procDone []procResult // indexed by merged ProcID
 
 	// Makespan is the worst-case schedule length δ: the latest
 	// guaranteed completion over all processes.
@@ -133,8 +152,13 @@ func (s *Schedule) Item(id policy.InstID) *Item { return s.items[id] }
 func (s *Schedule) Items() []*Item { return s.items }
 
 // NodeSequence returns the static schedule table of node n, in execution
-// order.
-func (s *Schedule) NodeSequence(n arch.NodeID) []*Item { return s.nodeSeq[n] }
+// order; none for a node outside the architecture.
+func (s *Schedule) NodeSequence(n arch.NodeID) []*Item {
+	if n < 0 || int(n) >= len(s.nodeSeq) {
+		return nil
+	}
+	return s.nodeSeq[n]
+}
 
 // MEDL returns the synthesized message descriptor list.
 func (s *Schedule) MEDL() []ttp.Transmission { return s.bus.MEDL() }
@@ -144,14 +168,24 @@ func (s *Schedule) Bus() *ttp.Bus { return s.bus }
 
 // ProcCompletion returns the worst-case guaranteed completion time of a
 // merged-graph process: the time by which, in every ≤k-fault scenario,
-// at least one replica has certainly produced the result.
+// at least one replica has certainly produced the result. It is 0 for
+// an ID outside the graph.
 func (s *Schedule) ProcCompletion(id model.ProcID) model.Time {
-	return s.procDone[id].guaranteed
+	return s.proc(id).guaranteed
 }
 
 // ProcNominalCompletion returns the fault-free first completion time.
 func (s *Schedule) ProcNominalCompletion(id model.ProcID) model.Time {
-	return s.procDone[id].nominal
+	return s.proc(id).nominal
+}
+
+// proc returns the completion analysis of a merged-graph process; the
+// zero record (not placed) for an ID outside the graph.
+func (s *Schedule) proc(id model.ProcID) procResult {
+	if id < 0 || int(id) >= len(s.procDone) {
+		return procResult{}
+	}
+	return s.procDone[id]
 }
 
 // CriticalPath returns the origin ProcIDs of the processes on the
@@ -165,7 +199,7 @@ func (s *Schedule) CriticalPath() []model.ProcID {
 	}
 	var chain []model.ProcID
 	seenInst := make(map[policy.InstID]bool)
-	cur := s.procDone[s.worstProc].bindOn
+	cur := s.proc(s.worstProc).bindOn
 	for cur != NoInst && !seenInst[cur] {
 		seenInst[cur] = true
 		it := s.items[cur]
@@ -197,7 +231,7 @@ func (s *Schedule) Violations() []Violation {
 	for id, r := range s.procDone {
 		if r.deadline > 0 && r.guaranteed > r.deadline {
 			out = append(out, Violation{
-				Proc:     id,
+				Proc:     model.ProcID(id),
 				Deadline: r.deadline,
 				WCFinish: r.guaranteed,
 			})

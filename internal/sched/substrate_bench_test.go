@@ -79,3 +79,22 @@ func BenchmarkScheduler(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSchedulerScratch measures the same pass through a warm
+// scratch arena (sched.BuildInto), the path the optimizer's move
+// evaluator takes for every candidate.
+func BenchmarkSchedulerScratch(b *testing.B) {
+	for _, dim := range []struct{ procs, nodes, k int }{
+		{20, 2, 3}, {60, 4, 5}, {100, 6, 7},
+	} {
+		in := schedulerInput(b, dim.procs, dim.nodes, dim.k)
+		b.Run(fmt.Sprintf("%dprocs", dim.procs), func(b *testing.B) {
+			sc := sched.NewScratch()
+			for i := 0; i < b.N; i++ {
+				if _, err := sched.BuildInto(sc, in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

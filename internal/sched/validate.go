@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/ftdse/internal/model"
 )
@@ -19,7 +18,8 @@ import (
 //     (WCET plus checkpoint overhead), worst cases dominate nominals,
 //     analysis rows are monotone in the fault budget;
 //   - transmissions obey the transparency rule (slot at or after the
-//     sender's SendReady) and use the sender's own TDMA slot;
+//     sender's SendReady), use the sender's own TDMA slot, and are
+//     listed once per edge in edge order;
 //   - nominal data flow: every instance starts only after, per incoming
 //     edge, at least one input is available in the fault-free run;
 //   - bookkeeping: makespan is the latest guaranteed completion,
@@ -64,29 +64,21 @@ func ValidateSchedule(s *Schedule) error {
 				return fmt.Errorf("sched: %v analysis row not monotone at budget %d", it.Inst, f)
 			}
 		}
-		msgIdxs := make([]int, 0, len(it.Msgs))
-		for idx := range it.Msgs {
-			msgIdxs = append(msgIdxs, idx)
-		}
-		sort.Ints(msgIdxs)
-		for _, idx := range msgIdxs {
-			tr := it.Msgs[idx]
-			if tr.Start < it.SendReady {
-				return fmt.Errorf("sched: %v message %v precedes send ready %v", it.Inst, tr, it.SendReady)
+		for i, m := range it.Msgs {
+			if i > 0 && m.Edge <= it.Msgs[i-1].Edge {
+				return fmt.Errorf("sched: %v messages not in edge order at %v", it.Inst, m)
 			}
-			if in.Bus.Slots[tr.Slot].Node != it.Inst.Node {
-				return fmt.Errorf("sched: %v message %v uses a foreign slot", it.Inst, tr)
+			if m.Start < it.SendReady {
+				return fmt.Errorf("sched: %v message %v precedes send ready %v", it.Inst, m, it.SendReady)
+			}
+			if in.Bus.Slots[m.Slot].Node != it.Inst.Node {
+				return fmt.Errorf("sched: %v message %v uses a foreign slot", it.Inst, m)
 			}
 		}
 	}
 
-	edgeIdx := make(map[[2]model.ProcID]int, len(in.Graph.Edges()))
-	for i, e := range in.Graph.Edges() {
-		edgeIdx[[2]model.ProcID{e.Src, e.Dst}] = i
-	}
 	for _, p := range in.Graph.Processes() {
 		for _, e := range in.Graph.Predecessors(p.ID) {
-			idx := edgeIdx[[2]model.ProcID{e.Src, e.Dst}]
 			for _, d := range s.Ex.Of(p.ID) {
 				dit := s.Item(d.ID)
 				earliest := model.Infinity
@@ -94,7 +86,7 @@ func ValidateSchedule(s *Schedule) error {
 					sit := s.Item(src.ID)
 					if src.Node == d.Node {
 						earliest = model.MinTime(earliest, sit.NominalFinish)
-					} else if tr, ok := sit.Msgs[idx]; ok {
+					} else if tr, ok := sit.Msg(e.Index); ok {
 						earliest = model.MinTime(earliest, tr.Arrival)
 					}
 				}
@@ -108,8 +100,8 @@ func ValidateSchedule(s *Schedule) error {
 
 	var maxDone, tardiness model.Time
 	for _, p := range in.Graph.Processes() {
-		r, ok := s.procDone[p.ID]
-		if !ok {
+		r := s.proc(p.ID)
+		if !r.placed {
 			return fmt.Errorf("sched: process %v has no completion record", p)
 		}
 		if r.guaranteed < r.nominal {

@@ -75,11 +75,6 @@ func Run(s *sched.Schedule, sc Scenario) *Result {
 	ex := s.Ex
 	mu := in.Faults.Mu
 
-	edgeIdx := make(map[[2]model.ProcID]int, len(in.Graph.Edges()))
-	for i, e := range in.Graph.Edges() {
-		edgeIdx[[2]model.ProcID{e.Src, e.Dst}] = i
-	}
-
 	// Dependencies: an instance can be simulated once its process
 	// predecessors' instances and its node predecessor are done.
 	blocked := make(map[policy.InstID]int, len(s.Items()))
@@ -117,7 +112,7 @@ func Run(s *sched.Schedule, sc Scenario) *Result {
 
 		it := s.Item(id)
 		inst := it.Inst
-		start, starved := r.readyTime(s, it, edgeIdx)
+		start, starved := r.readyTime(s, it)
 		if starved {
 			r.Violations = append(r.Violations,
 				fmt.Sprintf("instance %s starved: no valid input in this scenario", inst))
@@ -198,12 +193,11 @@ func Run(s *sched.Schedule, sc Scenario) *Result {
 // readyTime returns the time at which the instance has, per incoming
 // edge, at least one valid input available, or starved=true when some
 // edge never delivers in this scenario.
-func (r *Result) readyTime(s *sched.Schedule, it *sched.Item, edgeIdx map[[2]model.ProcID]int) (t model.Time, starved bool) {
+func (r *Result) readyTime(s *sched.Schedule, it *sched.Item) (t model.Time, starved bool) {
 	in := s.In
 	inst := it.Inst
 	t = inst.Proc.Release
 	for _, e := range in.Graph.Predecessors(inst.Proc.ID) {
-		idx := edgeIdx[[2]model.ProcID{e.Src, e.Dst}]
 		valid := model.Infinity
 		for _, src := range s.Ex.Of(e.Src) {
 			if !r.Alive[src.ID] {
@@ -214,7 +208,7 @@ func (r *Result) readyTime(s *sched.Schedule, it *sched.Item, edgeIdx map[[2]mod
 				continue
 			}
 			sit := s.Item(src.ID)
-			tr, ok := sit.Msgs[idx]
+			tr, ok := sit.Msg(e.Index)
 			if !ok {
 				continue
 			}

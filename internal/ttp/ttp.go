@@ -8,6 +8,7 @@ package ttp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/ftdse/internal/arch"
@@ -160,16 +161,23 @@ type frame struct {
 // the scheduling-time view of the bus; a fresh Bus (or one recycled with
 // Reset) is used for every schedule construction.
 type Bus struct {
-	cfg    Config
-	frames map[[2]int]*frame // key: {round, slot}
-	// free recycles frame structs (and their msgs backing) across
-	// Resets, so a reused Bus reserves messages without allocating.
-	free []*frame
+	cfg Config
+	// round and offsets (the start of each slot within a round) are
+	// derived from cfg once per configuration.
+	round   model.Time
+	offsets []model.Time
+	// frames holds the occurrence of slot s in round r at index
+	// r·len(cfg.Slots)+s, up to the latest occurrence used. Reset keeps
+	// the storage (and each frame's msgs backing), so a reused Bus
+	// reserves messages without allocating.
+	frames []frame
 }
 
 // NewBus returns an empty allocator over the given configuration.
 func NewBus(cfg Config) *Bus {
-	return &Bus{cfg: cfg, frames: make(map[[2]int]*frame)}
+	b := &Bus{}
+	b.configure(cfg)
+	return b
 }
 
 // Reset empties the allocator for a new schedule construction over the
@@ -178,24 +186,38 @@ func NewBus(cfg Config) *Bus {
 //
 //ftdse:hotpath
 func (b *Bus) Reset(cfg Config) {
-	b.cfg = cfg
-	for key, f := range b.frames {
-		f.used = 0
-		f.msgs = f.msgs[:0]
-		//ftlint:allow hotpath the free list grows to one configuration's frame count, then stays
-		b.free = append(b.free, f) //ftlint:allow determinism recycled frames are reset to identical state; free-list order varies only backing capacity, never results
-		delete(b.frames, key)
+	for i := range b.frames {
+		b.frames[i].used = 0
+		b.frames[i].msgs = b.frames[i].msgs[:0]
 	}
+	b.frames = b.frames[:0]
+	b.configure(cfg)
 }
 
-// newFrame takes a recycled frame when one is available.
-func (b *Bus) newFrame() *frame {
-	if n := len(b.free); n > 0 {
-		f := b.free[n-1]
-		b.free = b.free[:n-1]
-		return f
+// configure installs cfg and derives the round length and slot offsets.
+func (b *Bus) configure(cfg Config) {
+	b.cfg = cfg
+	if cap(b.offsets) < len(cfg.Slots) {
+		b.offsets = make([]model.Time, len(cfg.Slots))
 	}
-	return &frame{}
+	b.offsets = b.offsets[:len(cfg.Slots)]
+	var off model.Time
+	for i, s := range cfg.Slots {
+		b.offsets[i] = off
+		off += s.Length
+	}
+	b.round = off
+}
+
+// frame returns the occurrence of slot si in round r, extending the
+// frame table as needed. Storage beyond the table's length is either
+// new or was emptied by Reset.
+func (b *Bus) frame(r, si int) *frame {
+	i := r*len(b.cfg.Slots) + si
+	if i >= len(b.frames) {
+		b.frames = slices.Grow(b.frames, i+1-len(b.frames))[:i+1]
+	}
+	return &b.frames[i]
 }
 
 // Config returns the bus-access configuration of the allocator.
@@ -212,15 +234,15 @@ func (b *Bus) Reserve(n arch.NodeID, ready model.Time, bytes int, label string) 
 	if si < 0 {
 		return Transmission{}, fmt.Errorf("ttp: node %d owns no slot", n)
 	}
-	if bytes > b.cfg.SlotCapacity(si) {
+	capacity := b.cfg.SlotCapacity(si)
+	if bytes > capacity {
 		return Transmission{}, fmt.Errorf("ttp: message %q (%d bytes) exceeds capacity %d of slot %d",
-			label, bytes, b.cfg.SlotCapacity(si), si)
+			label, bytes, capacity, si)
 	}
 	if ready < 0 {
 		ready = 0
 	}
-	round := b.cfg.RoundLength()
-	offset := b.cfg.SlotOffset(si)
+	round, offset := b.round, b.offsets[si]
 	// First round whose occurrence of slot si starts at or after ready.
 	r := int((ready - offset + round - 1) / round)
 	if r < 0 {
@@ -229,13 +251,8 @@ func (b *Bus) Reserve(n arch.NodeID, ready model.Time, bytes int, label string) 
 	for {
 		start := model.Time(r)*round + offset
 		if start >= ready {
-			key := [2]int{r, si}
-			f := b.frames[key]
-			if f == nil {
-				f = b.newFrame()
-				b.frames[key] = f
-			}
-			if f.used+bytes <= b.cfg.SlotCapacity(si) {
+			f := b.frame(r, si)
+			if f.used+bytes <= capacity {
 				tr := Transmission{
 					Label:   label,
 					Bytes:   bytes,

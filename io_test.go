@@ -69,3 +69,32 @@ func TestWriteProblemCanonical(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteProblemConcurrentFirstEncode encodes one never-encoded
+// problem from two goroutines at once, as two clients submitting the
+// same freshly generated problem do. Encoding reads the process graph;
+// under -race this pins that reading a graph nobody has frozen yet
+// never writes shared state, and both encodings must agree.
+func TestWriteProblemConcurrentFirstEncode(t *testing.T) {
+	prob := ftdse.GenerateProblem(
+		ftdse.GenSpec{Procs: 30, Nodes: 3, Seed: 7},
+		ftdse.FaultModel{K: 2, Mu: ftdse.Ms(5)})
+	var docs [2]bytes.Buffer
+	errs := make(chan error, len(docs))
+	start := make(chan struct{})
+	for i := range docs {
+		go func(buf *bytes.Buffer) {
+			<-start
+			errs <- ftdse.WriteProblem(buf, prob)
+		}(&docs[i])
+	}
+	close(start)
+	for range docs {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(docs[0].Bytes(), docs[1].Bytes()) {
+		t.Fatal("concurrent encodings of one problem differ")
+	}
+}
