@@ -124,7 +124,8 @@ func BenchmarkClusterAffinityCacheHit(b *testing.B) {
 	}
 	// Affinity keeps re-solves away: every post-priming submission must
 	// have been answered by the owning shard's cache.
-	if m["node_cache_hits"] < float64(b.N) {
-		b.Fatalf("node_cache_hits = %v over %d submissions — affinity broke", m["node_cache_hits"], b.N)
+	if m["ftcluster_node_cache_hits_total"] < float64(b.N) {
+		b.Fatalf("ftcluster_node_cache_hits_total = %v over %d submissions — affinity broke",
+			m["ftcluster_node_cache_hits_total"], b.N)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -156,7 +155,6 @@ type Coordinator struct {
 	closed  bool
 
 	met  *coordMetrics
-	vars *expvar.Map
 	log  *slog.Logger
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -198,7 +196,6 @@ func New(cfg Config) (*Coordinator, error) {
 		stop:    make(chan struct{}),
 	}
 	c.met = newCoordMetrics(c)
-	c.vars = c.met.expvarMap(c)
 	c.log = cfg.Logger
 	if c.log == nil {
 		c.log = obs.Discard()
@@ -318,9 +315,6 @@ func (c *Coordinator) Close(ctx context.Context) error {
 	}
 	return err
 }
-
-// Vars returns the coordinator's metrics map.
-func (c *Coordinator) Vars() *expvar.Map { return c.vars }
 
 // LatestCheckpoint returns the freshest checkpoint document stored for
 // a fingerprint (nil when none). Exposed for warm-starting similar
@@ -732,9 +726,8 @@ func (j *cjob) status() service.JobStatus {
 // ---- metrics ----
 
 // coordMetrics aggregates the coordinator's counters on an obs.Registry
-// (one per coordinator, nothing process-global), exposed twice: GET
-// /metrics renders the Prometheus text format under ftcluster_* names,
-// and expvarMap keeps the legacy JSON view with its historical keys.
+// (one per coordinator, nothing process-global), rendered by GET
+// /metrics in the Prometheus text format under ftcluster_* names.
 type coordMetrics struct {
 	reg *obs.Registry
 
@@ -800,36 +793,6 @@ func (c *Coordinator) aliveNodes() int {
 		}
 	}
 	return n
-}
-
-// expvarMap builds the legacy exported view with the historical key
-// names, rendering from the same registry state.
-func (m *coordMetrics) expvarMap(c *Coordinator) *expvar.Map {
-	out := new(expvar.Map).Init()
-	intVar := func(name string, read func() int64) {
-		out.Set(name, expvar.Func(func() any { return read() }))
-	}
-	intVar("jobs_submitted", m.submitted.Value)
-	intVar("jobs_coalesced", m.coalesced.Value)
-	intVar("jobs_rejected", m.rejected.Value)
-	intVar("jobs_completed", m.completed.Value)
-	intVar("jobs_failed", m.failed.Value)
-	intVar("jobs_canceled", m.canceled.Value)
-	intVar("dispatches", m.dispatches.Value)
-	out.Set("dispatches_by_node", expvar.Func(func() any { return m.byNode.Values() }))
-	intVar("redispatches", m.redispatches.Value)
-	intVar("steals", m.steals.Value)
-	intVar("node_cache_hits", m.cacheHits.Value)
-	intVar("warm_dispatches", m.warmDispatches.Value)
-	intVar("checkpoints_received", m.ckptsReceived.Value)
-	intVar("node_deaths", m.nodeDeaths.Value)
-	out.Set("open_jobs", expvar.Func(func() any {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return len(c.open)
-	}))
-	out.Set("nodes_alive", expvar.Func(func() any { return c.aliveNodes() }))
-	return out
 }
 
 // ShardStat is one node's row in the shard map report.

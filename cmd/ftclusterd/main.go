@@ -19,10 +19,12 @@
 // GET /jobs/{id}/events (SSE) — so the typed client works unchanged.
 // The cluster surface adds POST /cluster/checkpoints (node pushes),
 // GET /cluster/checkpoints/{fp} (warm-start fetch),
-// GET /cluster/shards, GET /metrics (Prometheus text exposition),
-// GET /healthz and GET /readyz. With -pprof the net/http/pprof profiles
-// mount under /debug/pprof/ and an on-demand runtime/trace capture
-// under /debug/rtrace; the legacy expvar view stays at /debug/vars.
+// GET /cluster/shards, GET /metrics (Prometheus text exposition, the
+// only metrics surface), GET /healthz and GET /readyz. With -pprof the
+// net/http/pprof profiles mount under /debug/pprof/ (runtime memory
+// statistics at /debug/pprof/heap?debug=1, the command line at
+// /debug/pprof/cmdline) and an on-demand runtime/trace capture under
+// /debug/rtrace.
 //
 // Logs are structured JSON (log/slog) on stderr; every job's lines —
 // admission, dispatches, failovers, conclusion — carry its trace_id,
@@ -37,7 +39,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -116,11 +117,9 @@ func main() {
 		logger.Error("ftclusterd failed to start", "error", err.Error())
 		os.Exit(1)
 	}
-	expvar.Publish("ftclusterd", coord.Vars())
 
 	mux := http.NewServeMux()
 	mux.Handle("/", coord.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	if *pprof {
 		obs.RegisterDebug(mux)
 	}

@@ -10,11 +10,11 @@
 //
 // Endpoints: POST /solve (?wait=1), POST /solve/batch, GET /jobs/{id},
 // DELETE /jobs/{id}, GET /jobs/{id}/events (SSE), GET /metrics
-// (Prometheus text exposition), GET /healthz, plus the process-wide
-// expvar page at /debug/vars with the service metrics published as
-// "ftdsed". With -pprof the net/http/pprof profiles mount under
-// /debug/pprof/ and an on-demand runtime/trace capture under
-// /debug/rtrace.
+// (Prometheus text exposition, the only metrics surface), GET /healthz
+// and GET /readyz. With -pprof the net/http/pprof profiles mount under
+// /debug/pprof/ (runtime memory statistics at /debug/pprof/heap?debug=1,
+// the command line at /debug/pprof/cmdline) and an on-demand
+// runtime/trace capture under /debug/rtrace.
 //
 // Logs are structured JSON (log/slog) on stderr; every solve's lines
 // carry its trace_id, propagated from the Ftdse-Trace-Id request header
@@ -29,7 +29,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -64,11 +63,9 @@ func main() {
 		MaxTimeLimit: *maxLimit,
 		Logger:       logger,
 	})
-	expvar.Publish("ftdsed", svc.Vars())
 
 	mux := http.NewServeMux()
 	mux.Handle("/", svc.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	if *pprof {
 		obs.RegisterDebug(mux)
 	}

@@ -32,9 +32,9 @@ type Search = core.Search
 type Move = core.Move
 
 // MoveEval is the outcome of evaluating one candidate move. Evaluate
-// returns costs only — candidates are scheduled into reusable arenas
-// and Schedule is always nil — so engines materialize the schedule of
-// the winning move with Search.Materialize.
+// returns costs only — candidates are scheduled into reusable arenas —
+// so engines materialize the schedule of the winning move with
+// Search.Materialize.
 type MoveEval = core.MoveEval
 
 // GreedyEngine is the paper's greedy improvement loop (GreedyMPA,

@@ -172,12 +172,9 @@ func (firstImprovement) Explore(ctx context.Context, s *ftdse.Search) error {
 			if !ev.OK || !ev.Cost.Less(cost) {
 				continue
 			}
-			nsch := ev.Schedule
-			if nsch == nil {
-				var err error
-				if nsch, err = s.Materialize(cur, moves[i]); err != nil {
-					continue
-				}
+			nsch, err := s.Materialize(cur, moves[i])
+			if err != nil {
+				continue
 			}
 			cur, sch, cost = moves[i].ApplyTo(cur), nsch, ev.Cost
 			s.Publish("first", cur, sch, cost)

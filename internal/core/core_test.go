@@ -166,6 +166,50 @@ func TestFigure5MappingMustConsiderFaultTolerance(t *testing.T) {
 	}
 }
 
+// TestSFXReexecutesNFTMapping pins SFX as a two-step pipeline: its
+// design re-executes every process on the node an NFT search with the
+// same options maps it to, it reports that search's iterations and
+// engine, and its observer sees only the final SFX design.
+func TestSFXReexecutesNFTMapping(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	engines := []Engine{nil, SimulatedAnnealingEngine{},
+		PortfolioEngine{Racers: []Engine{TabuEngine{}, SimulatedAnnealingEngine{}}}}
+	for trial, eng := range engines {
+		p := randomProblem(rng, 12, 3, 2)
+		bus := trial%2 == 0
+		nft := solveWith(t, p, eng, func(o *Options) {
+			o.Strategy = NFT
+			o.OptimizeBusAccess = bus
+		})
+		var imps []Improvement
+		sfx := solveWith(t, p, eng, func(o *Options) {
+			o.Strategy = SFX
+			o.OptimizeBusAccess = bus
+			o.OnImprovement = func(imp Improvement) { imps = append(imps, imp) }
+		})
+		if len(sfx.Assignment) != len(nft.Assignment) {
+			t.Fatalf("trial %d: SFX assigns %d processes, NFT %d", trial, len(sfx.Assignment), len(nft.Assignment))
+		}
+		for id, pol := range nft.Assignment {
+			want := policy.Reexecution(pol.Replicas[0].Node, p.Faults.K)
+			if got := sfx.Assignment[id]; !got.Equal(want) {
+				t.Errorf("trial %d: process %d: SFX policy %v, want %v", trial, id, got, want)
+			}
+		}
+		if sfx.Iterations != nft.Iterations || sfx.Engine != nft.Engine {
+			t.Errorf("trial %d: SFX iterations/engine %d/%s, want NFT's %d/%s",
+				trial, sfx.Iterations, sfx.Engine, nft.Iterations, nft.Engine)
+		}
+		if len(imps) != 1 || imps[0].Phase != "sfx" || imps[0].Cost != sfx.Cost {
+			var seen []string
+			for _, imp := range imps {
+				seen = append(seen, imp.Phase+":"+imp.Cost.String())
+			}
+			t.Errorf("trial %d: observer saw %v, want one sfx improvement at %v", trial, seen, sfx.Cost)
+		}
+	}
+}
+
 func TestOptimizeDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p := randomProblem(rng, 10, 3, 1)

@@ -233,10 +233,9 @@ func (s *Search) Moves(d policy.Assignment, procs []model.ProcID) []Move {
 // The winner-by-(cost, index) convention keeps results independent of
 // the worker count — see Options.Workers for the determinism contract.
 //
-// Evaluate returns costs only (MoveEval.Schedule is nil): candidates
-// are scheduled into reusable per-worker arenas, so a sweep allocates
-// nothing in steady state. Materialize the winning move's schedule with
-// Materialize.
+// Evaluate returns costs only: candidates are scheduled into reusable
+// per-worker arenas, so a sweep allocates nothing in steady state.
+// Materialize the winning move's schedule with Materialize.
 func (s *Search) Evaluate(ctx context.Context, base policy.Assignment, moves []Move) []MoveEval {
 	return s.st.eval.evalMoves(ctx, base, moves)
 }

@@ -199,7 +199,9 @@ func (TabuEngine) Explore(ctx context.Context, s *Search) error {
 // deterministic engines.
 //
 // The zero value is ready to use: seed 1 (or Options.Seed when set)
-// and size-derived iteration count, temperature and cooling rate.
+// and a size-derived iteration count. The start temperature is 5% of
+// the starting design's energy (at least 1) and cools by a factor of
+// 0.995 per step.
 type SimulatedAnnealingEngine struct {
 	// Seed seeds the random stream; 0 falls back to Options.Seed, then
 	// to the fixed seed 1, so the engine is deterministic either way.
@@ -209,13 +211,10 @@ type SimulatedAnnealingEngine struct {
 	// each SA step costs one scheduling pass where greedy and tabu
 	// sweep a whole neighborhood.
 	Iterations int
-	// InitialTemp is the starting temperature in cost-energy units;
-	// <= 0 derives it from the starting design's energy.
-	InitialTemp float64
-	// Cooling is the per-iteration geometric cooling factor in (0, 1);
-	// out-of-range values select 0.995.
-	Cooling float64
 }
+
+// saCooling is SA's per-step geometric cooling factor.
+const saCooling = 0.995
 
 func (SimulatedAnnealingEngine) Name() string { return "sa" }
 
@@ -251,17 +250,7 @@ func (e SimulatedAnnealingEngine) Explore(ctx context.Context, s *Search) error 
 	}
 	rng := rand.New(rand.NewSource(seed))
 
-	temp := e.InitialTemp
-	if temp <= 0 {
-		temp = 0.05 * saEnergy(cost)
-		if temp < 1 {
-			temp = 1
-		}
-	}
-	cooling := e.Cooling
-	if cooling <= 0 || cooling >= 1 {
-		cooling = 0.995
-	}
+	temp := max(0.05*saEnergy(cost), 1)
 
 	// The neighborhood only changes when a move is accepted (cur and
 	// sch move), so it is regenerated lazily: at low temperature most
@@ -283,7 +272,7 @@ func (e SimulatedAnnealingEngine) Explore(ctx context.Context, s *Search) error 
 		}
 		m := moves[rng.Intn(len(moves))]
 		ev := s.Evaluate(ctx, cur, []Move{m})[0]
-		temp *= cooling
+		temp *= saCooling
 		if temp < 1e-3 {
 			temp = 1e-3
 		}

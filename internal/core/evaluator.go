@@ -18,18 +18,13 @@ import (
 // rejected the move or the context fired before the move could be
 // evaluated.
 //
-// Schedule is always nil for batch evaluations: the hot path schedules
-// candidates into per-worker scratch arenas (allocation-free, never
-// retained) and the memo cache keeps only costs, so neither produces a
-// schedule that could outlive the sweep. Callers materialize the
-// schedule of the (rare) winning move with Search.Materialize. The
-// field is kept so custom engines written against the earlier contract
-// — check Schedule, fall back to Materialize — keep compiling and
-// working.
+// A MoveEval carries no schedule: the hot path schedules candidates
+// into per-worker scratch arenas (allocation-free, never retained) and
+// the memo cache keeps only costs. Callers materialize the schedule of
+// the (rare) winning move with Search.Materialize.
 type MoveEval struct {
-	Schedule *sched.Schedule
-	Cost     Cost
-	OK       bool
+	Cost Cost
+	OK   bool
 }
 
 // cachedCost is the memoized part of a MoveEval.

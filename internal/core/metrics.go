@@ -6,8 +6,8 @@ import "sync/atomic"
 // hot path. They are cumulative over every optimization run in the
 // process (the evaluator itself is per-run), cheap to maintain (one
 // batched atomic add per sweep, one per scratch checkout), and exposed
-// through ReadEvaluatorMetrics for the service's expvar page and the
-// ftbench harness.
+// through ReadEvaluatorMetrics for the service's /metrics
+// (ftdse_evaluator_*) and the ftbench harness.
 var evalMetrics struct {
 	passes        atomic.Int64
 	cacheHits     atomic.Int64

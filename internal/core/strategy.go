@@ -281,31 +281,44 @@ func OptimizeContext(ctx context.Context, p Problem, opts Options) (*Result, err
 		defer cancel()
 	}
 
-	// SFX is a two-phase pipeline rather than a search of its own.
-	if opts.Strategy == SFX {
-		return optimizeSFX(ctx, p, opts, start)
-	}
-
-	eff := p
-	if opts.Strategy == NFT {
-		eff.Faults = fault.None
-	}
-
-	st, err := newSearchState(eff, opts)
-	if err != nil {
-		return nil, err
-	}
 	// The engine is resolved before the first event so run_start can
-	// name it; the flight recorder attaches to the search state (sweep
-	// events) and, via newSearch, to the incumbent board.
+	// name it.
 	eng := opts.Engine
 	if eng == nil {
 		eng = DefaultEngine()
 	}
+	var rec *flightRecorder
 	if opts.FlightRecorder > 0 {
-		st.rec = newFlightRecorder(opts.FlightRecorder, start)
-		st.rec.record(SearchEvent{Kind: EventRunStart,
+		rec = newFlightRecorder(opts.FlightRecorder, start)
+		rec.record(SearchEvent{Kind: EventRunStart,
 			Strategy: opts.Strategy.String(), Engine: eng.Name()})
+	}
+
+	// SFX is a two-step pipeline rather than a search of its own: it
+	// first searches a mapping while ignoring fault tolerance, then
+	// re-executes every process on that mapping (reexecuteMapping). The
+	// mapping search is the NFT search run to its full budget, with no
+	// warm start (a fault-tolerant design means nothing to it), and
+	// unobserved and untraced, since its incumbents are not SFX designs.
+	searchOpts := opts
+	if opts.Strategy == SFX {
+		searchOpts.Strategy = NFT
+		searchOpts.StopWhenSchedulable = false
+		searchOpts.WarmStart = nil
+		searchOpts.OnImprovement = nil
+	}
+	eff := p
+	if searchOpts.Strategy == NFT {
+		eff.Faults = fault.None
+	}
+	st, err := newSearchState(eff, searchOpts)
+	if err != nil {
+		return nil, err
+	}
+	// The flight recorder attaches to the search state (sweep events)
+	// and, via newSearch, to the incumbent board.
+	if opts.Strategy != SFX {
+		st.rec = rec
 	}
 
 	// Step 1: initial bus access, mapping and policy assignment.
@@ -326,9 +339,9 @@ func OptimizeContext(ctx context.Context, p Problem, opts Options) (*Result, err
 	// monotone gate makes this safe: a stale or worse warm start is
 	// simply ignored, and an invalid one (evaluate fails) falls back to
 	// the cold path.
-	if len(opts.WarmStart) > 0 && !s.ShouldStop() {
-		if wsch, wc, werr := st.evaluate(opts.WarmStart); werr == nil {
-			adopted := s.Publish("warmstart", opts.WarmStart, wsch, wc)
+	if len(searchOpts.WarmStart) > 0 && !s.ShouldStop() {
+		if wsch, wc, werr := st.evaluate(searchOpts.WarmStart); werr == nil {
+			adopted := s.Publish("warmstart", searchOpts.WarmStart, wsch, wc)
 			st.rec.record(costEvent(SearchEvent{Kind: EventWarmStart,
 				Phase: "warmstart", Adopted: adopted}, wc))
 		}
@@ -352,7 +365,12 @@ func OptimizeContext(ctx context.Context, p Problem, opts Options) (*Result, err
 	}
 
 	d, sch, c, _ := s.Best()
-	st.rec.record(costEvent(SearchEvent{Kind: EventRunEnd,
+	if opts.Strategy == SFX {
+		if d, sch, c, err = reexecuteMapping(p, opts, rec, start, d); err != nil {
+			return nil, err
+		}
+	}
+	rec.record(costEvent(SearchEvent{Kind: EventRunEnd,
 		Iteration: int(s.total.Load()), Cause: stopCause(ctx).String()}, c))
 	return &Result{
 		Strategy:   opts.Strategy,
@@ -363,61 +381,28 @@ func OptimizeContext(ctx context.Context, p Problem, opts Options) (*Result, err
 		Iterations: int(s.total.Load()),
 		Elapsed:    wallElapsed(start),
 		Stopped:    stopCause(ctx),
-		Trace:      st.rec.snapshot(),
+		Trace:      rec.snapshot(),
 	}, nil
 }
 
-// optimizeSFX implements the straightforward baseline: derive the best
-// mapping while ignoring fault tolerance (an NFT run), then assign
-// re-execution to every process on that mapping and schedule once.
-func optimizeSFX(ctx context.Context, p Problem, opts Options, start time.Time) (*Result, error) {
-	nftOpts := opts
-	nftOpts.Strategy = NFT
-	nftOpts.StopWhenSchedulable = false
-	// SFX derives its design structurally from the NFT mapping; a warm
-	// start (a fault-tolerant design) has no meaning for either phase.
-	nftOpts.WarmStart = nil
-	// The caller already merged TimeLimit into ctx; clearing it here
-	// avoids stacking a second (later, and therefore inert) deadline.
-	nftOpts.TimeLimit = 0
-	// The outer SFX run keeps the single trace of the job; the inner
-	// NFT run would otherwise record a run of its own.
-	nftOpts.FlightRecorder = 0
-	nft, err := OptimizeContext(ctx, p, nftOpts)
-	if err != nil {
-		return nil, err
-	}
-
+// reexecuteMapping is the second step of SFX: every process
+// re-executes on the node the fault-oblivious search mapped it to,
+// scheduled once under the real fault model and the initial bus
+// configuration. The design is published as the run's only incumbent.
+func reexecuteMapping(p Problem, opts Options, rec *flightRecorder, start time.Time, mapping policy.Assignment) (policy.Assignment, *sched.Schedule, Cost, error) {
 	asgn := policy.Assignment{}
 	for _, proc := range p.App.Processes() {
-		node := nft.Assignment[proc.ID].Replicas[0].Node
-		asgn[proc.ID] = policy.Reexecution(node, p.Faults.K)
+		asgn[proc.ID] = policy.Reexecution(mapping[proc.ID].Replicas[0].Node, p.Faults.K)
 	}
 	st, err := newSearchState(p, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, Cost{}, err
 	}
-	if opts.FlightRecorder > 0 {
-		st.rec = newFlightRecorder(opts.FlightRecorder, start)
-		st.rec.record(SearchEvent{Kind: EventRunStart,
-			Strategy: SFX.String(), Engine: nft.Engine})
-	}
-	sch, cost, err := st.evaluate(asgn)
+	st.rec = rec
+	sch, c, err := st.evaluate(asgn)
 	if err != nil {
-		return nil, err
+		return nil, nil, Cost{}, err
 	}
-	newSearch(st, start).Publish("sfx", asgn, sch, cost)
-	st.rec.record(costEvent(SearchEvent{Kind: EventRunEnd,
-		Iteration: nft.Iterations, Cause: stopCause(ctx).String()}, cost))
-	return &Result{
-		Strategy:   SFX,
-		Engine:     nft.Engine,
-		Assignment: asgn,
-		Schedule:   sch,
-		Cost:       cost,
-		Iterations: nft.Iterations,
-		Elapsed:    wallElapsed(start),
-		Stopped:    stopCause(ctx),
-		Trace:      st.rec.snapshot(),
-	}, nil
+	newSearch(st, start).Publish("sfx", asgn, sch, c)
+	return asgn, sch, c, nil
 }

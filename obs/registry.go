@@ -136,18 +136,6 @@ func (v *CounterVec) With(value string) *Counter {
 	return c
 }
 
-// Values snapshots the child counters by label value (the legacy
-// expvar view renders from this).
-func (v *CounterVec) Values() map[string]int64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make(map[string]int64, len(v.children))
-	for val, c := range v.children {
-		out[val] = c.Value()
-	}
-	return out
-}
-
 func (v *CounterVec) samples() []sample {
 	v.mu.Lock()
 	defer v.mu.Unlock()

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"expvar"
 	"time"
 
 	"repro/ftdse"
@@ -11,14 +10,12 @@ import (
 // metrics aggregates the service's operational counters on an
 // obs.Registry. Each Service owns its own registry (nothing is
 // registered process-globally, so tests can build many services),
-// exposed twice: GET /metrics renders the Prometheus text format, and
-// expvarMap keeps the legacy expvar JSON view for /debug/vars.
+// rendered by GET /metrics in the Prometheus text format.
 //
 // Solve latency and queue wait are cumulative histograms — every
-// observation since start, replacing the earlier 512-sample sliding
-// window — so scrapers get bucketed distributions and the service's
-// own Retry-After estimate (retryAfterLocked) derives its median from
-// the same data a dashboard would show.
+// observation since start — so scrapers get bucketed distributions and
+// the service's own Retry-After estimate (retryAfterLocked) derives its
+// median from the same data a dashboard would show.
 type metrics struct {
 	reg *obs.Registry
 
@@ -106,39 +103,3 @@ func (m *metrics) observeSolve(d time.Duration) { m.solveLatency.Observe(d.Secon
 
 // observeQueueWait records how long one job waited for a worker.
 func (m *metrics) observeQueueWait(d time.Duration) { m.queueWait.Observe(d.Seconds()) }
-
-// expvarMap builds the legacy exported view with the historical key
-// names, rendering from the same registry state. queueDepth, cacheLen
-// and clusterNode are read live on every render.
-func (m *metrics) expvarMap(queueDepth func() int, queueCap int, cacheLen func() int, clusterNode func() string) *expvar.Map {
-	out := new(expvar.Map).Init()
-	intVar := func(name string, read func() int64) {
-		out.Set(name, expvar.Func(func() any { return read() }))
-	}
-	intVar("solves_total", m.solvesTotal.Value)
-	out.Set("solves_by_engine", expvar.Func(func() any { return m.engines.Values() }))
-	intVar("solves_in_flight", m.solvesInFlight.Value)
-	intVar("cache_hits", m.cacheHits.Value)
-	intVar("cache_misses", m.cacheMisses.Value)
-	intVar("jobs_submitted", m.jobsSubmitted.Value)
-	intVar("jobs_rejected", m.jobsRejected.Value)
-	intVar("jobs_coalesced", m.jobsCoalesced.Value)
-	out.Set("queue_depth", expvar.Func(func() any { return queueDepth() }))
-	out.Set("queue_capacity", expvar.Func(func() any { return queueCap }))
-	out.Set("cache_len", expvar.Func(func() any { return cacheLen() }))
-	out.Set("cache_hit_rate", expvar.Func(func() any {
-		h, miss := m.cacheHits.Value(), m.cacheMisses.Value()
-		if h+miss == 0 {
-			return 0.0
-		}
-		return float64(h) / float64(h+miss)
-	}))
-	out.Set("solve_latency_p50_ms", expvar.Func(func() any { return 1000 * m.solveLatency.Quantile(0.50) }))
-	out.Set("solve_latency_p99_ms", expvar.Func(func() any { return 1000 * m.solveLatency.Quantile(0.99) }))
-	intVar("warm_starts", m.warmStarts.Value)
-	intVar("checkpoints_pushed", m.checkpointsPushed.Value)
-	intVar("checkpoint_push_errors", m.checkpointPushErrors.Value)
-	out.Set("cluster_node", expvar.Func(func() any { return clusterNode() }))
-	out.Set("evaluator", expvar.Func(func() any { return ftdse.ReadEvaluatorMetrics() }))
-	return out
-}

@@ -27,10 +27,8 @@
 //	                         incumbent solution, then a closing "done"
 //	                         event carrying the final JobStatus.
 //	GET    /metrics          Prometheus text exposition (queue depth,
-//	                         cache hit rate, solve latency and queue
-//	                         wait histograms…); the legacy expvar JSON
-//	                         view stays available through Vars() (the
-//	                         daemon publishes it at /debug/vars).
+//	                         cache hits and misses, solve latency and
+//	                         queue wait histograms, evaluator counters…).
 //	GET    /healthz          liveness ("ok", or 503 while draining).
 //	GET    /readyz           readiness: 200 when the queue has room and
 //	                         the service is not draining, 503 otherwise;
@@ -53,7 +51,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -113,7 +110,6 @@ type Service struct {
 	solver  *ftdse.Solver // shared base; per-job variants derived With()
 	cache   *resultCache
 	met     *metrics
-	vars    *expvar.Map
 	log     *slog.Logger
 	cluster clusterState // node-mode identity (set by registration)
 
@@ -147,7 +143,6 @@ func New(cfg Config) *Service {
 	}
 	s.workCond = sync.NewCond(&s.mu)
 	s.met = newMetrics(s.queueDepth, cfg.QueueSize, s.cache.len)
-	s.vars = s.met.expvarMap(s.queueDepth, cfg.QueueSize, s.cache.len, s.clusterNode)
 	s.wg.Add(cfg.PoolWorkers)
 	for i := 0; i < cfg.PoolWorkers; i++ {
 		go s.worker()
@@ -160,10 +155,6 @@ func (s *Service) queueDepth() int {
 	defer s.mu.Unlock()
 	return len(s.pending)
 }
-
-// Vars returns the service's metrics as an expvar.Map, suitable for
-// expvar.Publish in a daemon.
-func (s *Service) Vars() *expvar.Map { return s.vars }
 
 // Close drains the service: new submissions are rejected with 503,
 // running solves are canceled — each completes within one scheduling
@@ -787,9 +778,7 @@ func writeSSE(w http.ResponseWriter, event string, v any) {
 	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
 }
 
-// handleMetrics serves the Prometheus text exposition. The legacy
-// expvar JSON view remains available through Vars() — cmd/ftdsed
-// publishes it at /debug/vars.
+// handleMetrics serves the Prometheus text exposition.
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.ContentType)
 	s.met.reg.WriteText(w)

@@ -263,47 +263,51 @@ func parseSSE(t *testing.T, url, id string) ([]service.ProgressEvent, service.Jo
 	return nil, final
 }
 
-// TestSSEStreamsMonotonicImprovements verifies the anytime interface:
-// the event stream delivers every incumbent in order, each strictly
-// better than the last in the (tardiness, makespan) order, and closes
-// with the final status.
+// TestSSEStreamsMonotonicImprovements verifies the anytime interface
+// for every strategy: the event stream delivers every incumbent in
+// order, each strictly better than the last in the (tardiness,
+// makespan) order, and closes with the final status.
 func TestSSEStreamsMonotonicImprovements(t *testing.T) {
 	_, srv := newService(t, service.Config{PoolWorkers: 1, QueueSize: 4})
-	st := postSolve(t, srv.URL,
-		submitBody(t, genProblem(16, 5), service.SolveOptions{MaxIterations: 60, Workers: 1}),
-		http.StatusAccepted)
+	for _, strategy := range ftdse.StrategyNames() {
+		t.Run(strategy, func(t *testing.T) {
+			st := postSolve(t, srv.URL,
+				submitBody(t, genProblem(16, 5), service.SolveOptions{Strategy: strategy, MaxIterations: 60, Workers: 1}),
+				http.StatusAccepted)
 
-	events, final := parseSSE(t, srv.URL, st.ID)
-	if len(events) == 0 {
-		t.Fatal("no improvement events")
-	}
-	for i := 1; i < len(events); i++ {
-		prev, cur := events[i-1], events[i]
-		better := cur.TardinessMs < prev.TardinessMs ||
-			(cur.TardinessMs == prev.TardinessMs && cur.MakespanMs < prev.MakespanMs)
-		if !better {
-			t.Errorf("event %d (%+v) does not improve on event %d (%+v)", i, cur, i-1, prev)
-		}
-	}
-	if final.State != service.StateDone {
-		t.Fatalf("final state = %q (%s)", final.State, final.Error)
-	}
-	if final.Improvements != len(events) {
-		t.Errorf("final status counts %d improvements, stream delivered %d", final.Improvements, len(events))
-	}
-	var res service.JobResult
-	if err := json.Unmarshal(final.Result, &res); err != nil {
-		t.Fatalf("final result: %v", err)
-	}
-	last := events[len(events)-1]
-	if res.MakespanMs != last.MakespanMs {
-		t.Errorf("final makespan %.3f != last incumbent %.3f", res.MakespanMs, last.MakespanMs)
-	}
+			events, final := parseSSE(t, srv.URL, st.ID)
+			if len(events) == 0 {
+				t.Fatal("no improvement events")
+			}
+			for i := 1; i < len(events); i++ {
+				prev, cur := events[i-1], events[i]
+				better := cur.TardinessMs < prev.TardinessMs ||
+					(cur.TardinessMs == prev.TardinessMs && cur.MakespanMs < prev.MakespanMs)
+				if !better {
+					t.Errorf("event %d (%+v) does not improve on event %d (%+v)", i, cur, i-1, prev)
+				}
+			}
+			if final.State != service.StateDone {
+				t.Fatalf("final state = %q (%s)", final.State, final.Error)
+			}
+			if final.Improvements != len(events) {
+				t.Errorf("final status counts %d improvements, stream delivered %d", final.Improvements, len(events))
+			}
+			var res service.JobResult
+			if err := json.Unmarshal(final.Result, &res); err != nil {
+				t.Fatalf("final result: %v", err)
+			}
+			last := events[len(events)-1]
+			if res.MakespanMs != last.MakespanMs {
+				t.Errorf("final makespan %.3f != last incumbent %.3f", res.MakespanMs, last.MakespanMs)
+			}
 
-	// A late subscriber replays the identical history.
-	replay, final2 := parseSSE(t, srv.URL, st.ID)
-	if len(replay) != len(events) || final2.State != service.StateDone {
-		t.Errorf("replay delivered %d events (state %s), want %d", len(replay), final2.State, len(events))
+			// A late subscriber replays the identical history.
+			replay, final2 := parseSSE(t, srv.URL, st.ID)
+			if len(replay) != len(events) || final2.State != service.StateDone {
+				t.Errorf("replay delivered %d events (state %s), want %d", len(replay), final2.State, len(events))
+			}
+		})
 	}
 }
 
