@@ -256,7 +256,7 @@ func (s *Search) Materialize(base policy.Assignment, m Move) (*sched.Schedule, e
 // proposal is ignored. Publishing never influences any engine's
 // trajectory.
 func (s *Search) Publish(phase string, d policy.Assignment, sch *sched.Schedule, c Cost) bool {
-	if s.hasBest && !c.Less(s.bestC) {
+	if !s.improves(c) {
 		return false
 	}
 	// Clone defensively: engines may keep mutating their working design
@@ -264,6 +264,14 @@ func (s *Search) Publish(phase string, d policy.Assignment, sch *sched.Schedule,
 	s.bestD, s.bestSch, s.bestC, s.hasBest = d.Clone(), sch, c, true
 	s.board.publish(s.label+phase, s.iter, s.bestD, c)
 	return true
+}
+
+// improves reports whether a design of cost c would become this
+// handle's incumbent: the test Publish applies. SA asks it before
+// building a schedule to keep, since Publish keeps only an improving
+// one.
+func (s *Search) improves(c Cost) bool {
+	return !s.hasBest || c.Less(s.bestC)
 }
 
 // Tick counts one engine iteration for progress reporting and the
@@ -320,7 +328,7 @@ func (s *Search) Fork(label string, workers int) (*Search, error) {
 // into this handle without re-publishing it (every improvement was
 // already streamed when the racer found it).
 func (s *Search) adopt(d policy.Assignment, sch *sched.Schedule, c Cost) {
-	if s.hasBest && !c.Less(s.bestC) {
+	if !s.improves(c) {
 		return
 	}
 	s.bestD, s.bestSch, s.bestC, s.hasBest = d, sch, c, true

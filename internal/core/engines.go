@@ -198,6 +198,15 @@ func (TabuEngine) Explore(ctx context.Context, s *Search) error {
 // trajectories — so SA results cache and reproduce like the
 // deterministic engines.
 //
+// SA drives its own proposal path rather than Evaluate and
+// Materialize: a step applies its move to SA's private design in place,
+// looks the proposal up in the evaluator's memo by a key kept up to
+// date move by move, schedules a miss into one arena checked out for
+// the whole run, and undoes the move. An accepted proposal's critical
+// path is read from that arena, and a schedule to keep is built only
+// for a proposal that beats the incumbent, the only one Publish keeps.
+// Costs, counters and sweep events are those of one Evaluate per step.
+//
 // The zero value is ready to use: seed 1 (or Options.Seed when set)
 // and a size-derived iteration count. The start temperature is 5% of
 // the starting design's energy (at least 1) and cools by a factor of
@@ -252,8 +261,14 @@ func (e SimulatedAnnealingEngine) Explore(ctx context.Context, s *Search) error 
 
 	temp := max(0.05*saEnergy(cost), 1)
 
+	ev := s.st.eval
+	es := ev.getScratch()
+	defer ev.scratch.Put(es)
+	key := ev.designKey(cur)
+	cp := sch.CriticalPath()
+
 	// The neighborhood only changes when a move is accepted (cur and
-	// sch move), so it is regenerated lazily: at low temperature most
+	// cp move), so it is regenerated lazily: at low temperature most
 	// proposals are rejected, and recomputing the identical move slice
 	// every iteration would dominate SA's non-scheduling cost.
 	var moves []Move
@@ -261,7 +276,7 @@ func (e SimulatedAnnealingEngine) Explore(ctx context.Context, s *Search) error 
 	for it := 0; it < iters && !stopped(ctx); it++ {
 		s.Tick()
 		if stale {
-			moves = s.Moves(cur, sch.CriticalPath())
+			moves = s.Moves(cur, cp)
 			if len(moves) == 0 {
 				moves = s.Moves(cur, s.st.origins)
 			}
@@ -270,26 +285,40 @@ func (e SimulatedAnnealingEngine) Explore(ctx context.Context, s *Search) error 
 		if len(moves) == 0 {
 			break
 		}
-		m := moves[rng.Intn(len(moves))]
-		ev := s.Evaluate(ctx, cur, []Move{m})[0]
+		m := &moves[rng.Intn(len(moves))]
+		mkey := ev.moveKey(key, cur, m)
+		r, msch := ev.propose(ctx, es.sc, cur, m, mkey)
 		temp *= saCooling
 		if temp < 1e-3 {
 			temp = 1e-3
 		}
-		if !ev.OK {
+		if !r.OK {
 			continue
 		}
-		delta := saEnergy(ev.Cost) - saEnergy(cost)
+		delta := saEnergy(r.Cost) - saEnergy(cost)
 		if delta >= 0 && rng.Float64() >= math.Exp(-delta/temp) {
 			continue
 		}
-		nsch, err := s.Materialize(cur, m)
-		if err != nil {
-			continue
+		// Accepted. A new incumbent gets a schedule of its own, built
+		// from a private copy of the design that the schedule keeps;
+		// otherwise the arena's schedule serves, rebuilt there when the
+		// proposal was a memo hit.
+		var keep *sched.Schedule
+		if s.improves(r.Cost) {
+			keep, _, _ = s.st.evaluate(m.ApplyTo(cur))
+			msch = keep
+		} else if msch == nil {
+			msch, _ = ev.buildMove(es.sc, cur, m)
 		}
-		cur, sch, cost = m.ApplyTo(cur), nsch, ev.Cost
-		stale = true
-		s.Publish("sa", cur, sch, cost)
+		if msch == nil {
+			continue // the scheduler rejected a design it costed before
+		}
+		cp = msch.CriticalPath()
+		cur[m.proc] = m.pol
+		key, cost, stale = mkey, r.Cost, true
+		if keep != nil {
+			s.Publish("sa", cur, keep, cost)
+		}
 		if s.ShouldStop() {
 			break
 		}

@@ -2,13 +2,11 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
 	"runtime"
-	"strconv"
+	"slices"
 	"sync"
 	"sync/atomic"
 
-	"repro/ftdse/internal/model"
 	"repro/ftdse/internal/policy"
 	"repro/ftdse/internal/sched"
 )
@@ -27,28 +25,66 @@ type MoveEval struct {
 	OK   bool
 }
 
-// cachedCost is the memoized part of a MoveEval.
-type cachedCost struct {
-	c  Cost
-	ok bool
-}
-
-// fingerprint is the fixed-size cache key of an assignment: a SHA-256
-// over its canonical serialization. Hashing keeps the memo table at
-// ~40 bytes per entry regardless of application size (the serialized
-// form is O(processes × replicas) bytes, which at paper scale would
-// retain hundreds of megabytes over a long tabu run).
-type fingerprint [sha256.Size]byte
+// memoKey is the memo table's key for a design: the XOR of one keyTerm
+// per origin position. XOR is its own inverse, so the key of a design
+// with one process's policy replaced is the design's key with that
+// position's old term XORed out and its new term XORed in: O(replicas)
+// per move, integer operations only. A term is a pseudo-random 128-bit
+// value, so two distinct designs share a key with probability 2^-128;
+// over the maxCacheEntries a table may hold, the chance of any
+// collision is about 2^-89.
+type memoKey struct{ lo, hi uint64 }
 
 // maxCacheEntries bounds the memo table within one bus configuration;
 // beyond it new results are still returned but no longer remembered.
-// 2^20 entries (~40 MB) is far above any configured search budget.
+// 2^20 entries (40 bytes of key and cost each, plus the map's own
+// overhead) is far above any configured search budget.
 const maxCacheEntries = 1 << 20
+
+// keyLo and keyHi seed the two 64-bit halves of a memoKey, so each
+// half chains mix64 from its own starting point.
+const keyLo, keyHi = 0x9e3779b97f4a7c15, 0xc2b2ae3d27d4eb4f
+
+// mix64 is the splitmix64 finalizer, as in cluster/ring.go: a
+// bijection on 64 bits that spreads every input bit over the output.
+//
+//ftdse:hotpath
+func mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// keyTerm is origin position pos's contribution to a memoKey. Each half
+// chains mix64 over the position, the replica count (0 when the process
+// is absent, so an absent process and an empty policy differ) and every
+// replica's node, re-executions and checkpoints in replica order.
+//
+//ftdse:hotpath
+func keyTerm(pos int, p policy.Policy, present bool) memoKey {
+	n := uint64(0)
+	if present {
+		n = uint64(len(p.Replicas)) + 1
+	}
+	lo, hi := mix64(keyLo^uint64(pos)), mix64(keyHi^uint64(pos))
+	lo, hi = mix64(lo^n), mix64(hi^n)
+	for _, r := range p.Replicas {
+		lo, hi = mix64(lo^uint64(r.Node)), mix64(hi^uint64(r.Node))
+		lo, hi = mix64(lo^uint64(r.Reexec)), mix64(hi^uint64(r.Reexec))
+		lo, hi = mix64(lo^uint64(r.Checkpoints)), mix64(hi^uint64(r.Checkpoints))
+	}
+	return memoKey{lo, hi}
+}
+
+// xor adds or removes a term: the key algebra of designKey and moveKey.
+//
+//ftdse:hotpath
+func (k memoKey) xor(o memoKey) memoKey { return memoKey{k.lo ^ o.lo, k.hi ^ o.hi} }
 
 // evaluator runs the per-move scheduling passes shared by every engine.
 // Moves are fanned out over a bounded worker pool and results are
-// memoized by assignment fingerprint, so a search loop never
-// re-schedules an assignment it has already costed.
+// memoized by design key, so a search loop never re-schedules a design
+// it has already costed.
 //
 // Concurrent evaluation relies on the read-only invariants of the
 // scheduling context: the merged graph (frozen by sched.NewStatic), the
@@ -62,8 +98,7 @@ type evaluator struct {
 	st      *searchState
 	workers int
 
-	cache map[fingerprint]cachedCost
-	buf   []byte // scratch for fingerprint serialization
+	cache map[memoKey]MoveEval
 	// hits/misses instrument the memoization for tests and tuning.
 	hits, misses int
 
@@ -99,7 +134,7 @@ func newEvaluator(st *searchState, workers int) *evaluator {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	ev := &evaluator{st: st, workers: workers, cache: make(map[fingerprint]cachedCost)}
+	ev := &evaluator{st: st, workers: workers, cache: make(map[memoKey]MoveEval)}
 	ev.scratch.New = func() any {
 		evalMetrics.scratchAllocs.Add(1)
 		return &evalScratch{asgn: policy.Assignment{}, sc: sched.NewScratch()}
@@ -108,44 +143,80 @@ func newEvaluator(st *searchState, workers int) *evaluator {
 }
 
 // invalidate drops the memoized results. Called whenever the bus
-// configuration changes: the fingerprint covers only the assignment, so
-// cached costs are valid for a single scheduling context.
+// configuration changes: the key covers only the design, so cached
+// costs are valid for a single scheduling context.
 func (ev *evaluator) invalidate() {
 	clear(ev.cache)
 }
 
-// fingerprint serializes the assignment with pol substituted for proc
-// in the sorted origin order — so equal assignments always produce
-// equal serializations — and hashes it into a fixed-size key.
-func (ev *evaluator) fingerprint(base policy.Assignment, proc model.ProcID, pol policy.Policy) fingerprint {
-	buf := ev.buf[:0]
-	for _, id := range ev.st.origins {
-		p, ok := base[id]
-		if id == proc {
-			p, ok = pol, true
-		}
-		if !ok {
-			buf = append(buf, '-', '|')
-			continue
-		}
-		for _, r := range p.Replicas {
-			buf = strconv.AppendInt(buf, int64(r.Node), 10)
-			buf = append(buf, '+')
-			buf = strconv.AppendInt(buf, int64(r.Reexec), 10)
-			buf = append(buf, '/')
-			buf = strconv.AppendInt(buf, int64(r.Checkpoints), 10)
-			buf = append(buf, ' ')
-		}
-		buf = append(buf, '|')
+// designKey computes the memo key of a whole design from scratch,
+// O(processes × replicas): once per sweep, or once per run for an
+// engine that keeps its working design's key (SA). Entries of d that
+// are not origins are not part of the key.
+//
+//ftdse:hotpath
+func (ev *evaluator) designKey(d policy.Assignment) memoKey {
+	var k memoKey
+	for pos, id := range ev.st.origins {
+		p, ok := d[id]
+		k = k.xor(keyTerm(pos, p, ok))
 	}
-	ev.buf = buf
-	return sha256.Sum256(buf)
+	return k
+}
+
+// moveKey derives the memo key of d with m applied from k, the key of
+// d: the moved position's old term is swapped for the new one.
+//
+//ftdse:hotpath
+func (ev *evaluator) moveKey(k memoKey, d policy.Assignment, m *Move) memoKey {
+	pos, ok := slices.BinarySearch(ev.st.origins, m.proc)
+	if !ok {
+		return k
+	}
+	old, had := d[m.proc]
+	return k.xor(keyTerm(pos, old, had)).xor(keyTerm(pos, m.pol, true))
+}
+
+// memoGet looks a design up in the memo table, counting the hit or
+// miss.
+func (ev *evaluator) memoGet(k memoKey) (MoveEval, bool) {
+	r, hit := ev.cache[k]
+	if hit {
+		ev.hits++
+	} else {
+		ev.misses++
+	}
+	return r, hit
+}
+
+// memoPut remembers a costed design, scheduler rejections included
+// (they are deterministic per design), while the table has room.
+func (ev *evaluator) memoPut(k memoKey, r MoveEval) {
+	if len(ev.cache) < maxCacheEntries {
+		ev.cache[k] = r
+	}
+}
+
+// account closes one sweep of moves candidates, hits of them served by
+// the memo and ran of them scheduled: it advances the process-wide
+// counters and records the flight recorder's sweep event.
+func (ev *evaluator) account(moves, hits, ran int) {
+	evalMetrics.cacheHits.Add(int64(hits))
+	evalMetrics.cacheMisses.Add(int64(moves - hits))
+	evalMetrics.passes.Add(int64(ran))
+	// The explicit nil guard (rather than relying on record's own)
+	// keeps the disabled path free of event construction — part of
+	// the recorder's zero-cost-when-off contract.
+	if rec := ev.st.rec; rec != nil {
+		rec.record(SearchEvent{Kind: EventSweep, Moves: moves,
+			Evaluated: ran, CacheHits: hits})
+	}
 }
 
 // evalMoves evaluates every move against the base assignment and
 // returns the results indexed by move position. The base assignment is
-// only read; each evaluation applies its move to a private clone, which
-// the resulting schedule then owns. The context is checked before
+// only read: workers substitute each move into a shallow working copy
+// and schedule it into their arena. The context is checked before
 // every scheduling pass, so a sweep over many moves stops promptly when
 // it is canceled or its deadline expires (remaining entries report
 // OK == false).
@@ -163,32 +234,24 @@ func (ev *evaluator) evalMoves(ctx context.Context, base policy.Assignment, move
 	}
 
 	// Resolve memoized results first; only cache misses hit the pool.
-	keys := make([]fingerprint, len(moves))
-	evaluated := make([]bool, len(moves))
+	baseKey := ev.designKey(base)
+	keys := make([]memoKey, len(moves))
 	pending := make([]int, 0, len(moves))
 	for i := range moves {
-		keys[i] = ev.fingerprint(base, moves[i].proc, moves[i].pol)
-		if r, hit := ev.cache[keys[i]]; hit {
-			out[i] = MoveEval{Cost: r.c, OK: r.ok}
-			ev.hits++
+		keys[i] = ev.moveKey(baseKey, base, &moves[i])
+		if r, hit := ev.memoGet(keys[i]); hit {
+			out[i] = r
 		} else {
 			pending = append(pending, i)
-			ev.misses++
 		}
 	}
-	evalMetrics.cacheHits.Add(int64(len(moves) - len(pending)))
-	evalMetrics.cacheMisses.Add(int64(len(pending)))
+
 	if len(pending) == 0 {
-		// The explicit nil guard (rather than relying on record's own)
-		// keeps the disabled path free of event construction — part of
-		// the recorder's zero-cost-when-off contract.
-		if rec := ev.st.rec; rec != nil {
-			rec.record(SearchEvent{Kind: EventSweep,
-				Moves: len(moves), CacheHits: len(moves)})
-		}
+		ev.account(len(moves), len(moves), 0)
 		return out
 	}
 
+	evaluated := make([]bool, len(moves))
 	sw := &sweep{base: base, moves: moves, pending: pending, out: out, evaluated: evaluated}
 	if workers := min(ev.workers, len(pending)); workers <= 1 {
 		es := ev.getScratch()
@@ -212,25 +275,40 @@ func (ev *evaluator) evalMoves(ctx context.Context, base policy.Assignment, move
 		wg.Wait()
 	}
 
-	// Memoize everything that actually ran, including scheduler
-	// rejections (they are deterministic per assignment). Moves skipped
-	// by a fired context are not cached: they were never costed.
+	// Memoize everything that actually ran. Moves skipped by a fired
+	// context are not cached: they were never costed.
 	ran := 0
 	for _, i := range pending {
-		if !evaluated[i] {
-			continue
-		}
-		ran++
-		if len(ev.cache) < maxCacheEntries {
-			ev.cache[keys[i]] = cachedCost{c: out[i].Cost, ok: out[i].OK}
+		if evaluated[i] {
+			ran++
+			ev.memoPut(keys[i], out[i])
 		}
 	}
-	evalMetrics.passes.Add(int64(ran))
-	if rec := ev.st.rec; rec != nil {
-		rec.record(SearchEvent{Kind: EventSweep, Moves: len(moves),
-			Evaluated: ran, CacheHits: len(moves) - len(pending)})
-	}
+	ev.account(len(moves), len(moves)-len(pending), ran)
 	return out
+}
+
+// propose costs one candidate, d with m applied, whose memo key is k,
+// exactly as a one-move evalMoves would: the same memo lookup and
+// insert, counters and sweep event. A miss is scheduled into the
+// caller's arena sc, working on d in place, and d is restored before
+// propose returns. The schedule is returned only when this call built
+// it (nil on a memo hit, a rejection or a fired context); it lives in
+// sc until sc's next build.
+func (ev *evaluator) propose(ctx context.Context, sc *sched.Scratch, d policy.Assignment, m *Move, k memoKey) (MoveEval, *sched.Schedule) {
+	r, hit := ev.memoGet(k)
+	var sch *sched.Schedule
+	switch {
+	case hit:
+		ev.account(1, 1, 0)
+	case stopped(ctx):
+		ev.account(1, 0, 0)
+	default:
+		sch, r = ev.buildMove(sc, d, m)
+		ev.memoPut(k, r)
+		ev.account(1, 0, 1)
+	}
+	return r, sch
 }
 
 // sweep is the shared state of one evalMoves fan-out: the immutable
@@ -258,23 +336,34 @@ func (ev *evaluator) primeScratch(es *evalScratch, base policy.Assignment) {
 	}
 }
 
-// evalOne costs one candidate into the worker's scratch: it substitutes
-// the move's policy, schedules into the arena, and restores the base
-// entry — O(1) map work per candidate, no allocations, no schedule
-// retained. Moves always target processes present in base (the
-// neighborhood is generated from its entries), so the restore never
-// leaves a stale key.
+// buildMove schedules d with m applied into the arena sc and restores
+// d's entry for m's process: O(1) map work, no allocation, nothing
+// retained. The schedule is valid until sc's next build; it is nil,
+// and the result not OK, when the scheduler rejects the design.
+//
+//ftdse:hotpath
+func (ev *evaluator) buildMove(sc *sched.Scratch, d policy.Assignment, m *Move) (*sched.Schedule, MoveEval) {
+	old, had := d[m.proc]
+	d[m.proc] = m.pol
+	sch, err := sched.BuildInto(sc, ev.st.schedInput(d))
+	if had {
+		d[m.proc] = old
+	} else {
+		delete(d, m.proc)
+	}
+	if err != nil {
+		return nil, MoveEval{}
+	}
+	return sch, MoveEval{Cost: costOf(sch), OK: true}
+}
+
+// evalOne costs one candidate of a sweep into the worker's scratch. No
+// schedule is retained.
 //
 //ftdse:hotpath
 func (ev *evaluator) evalOne(es *evalScratch, sw *sweep, i int) {
-	m := &sw.moves[i]
-	es.asgn[m.proc] = m.pol
-	c, ok := ev.st.evaluateInto(es.sc, es.asgn)
-	es.asgn[m.proc] = sw.base[m.proc]
+	_, sw.out[i] = ev.buildMove(es.sc, es.asgn, &sw.moves[i])
 	sw.evaluated[i] = true
-	if ok {
-		sw.out[i] = MoveEval{Cost: c, OK: true}
-	}
 }
 
 // worker is the body of one pool goroutine: it checks a scratch arena

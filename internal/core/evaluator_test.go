@@ -2,9 +2,14 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
 	"math/rand"
+	"reflect"
+	"strconv"
 	"testing"
 
+	"repro/ftdse/internal/arch"
+	"repro/ftdse/internal/model"
 	"repro/ftdse/internal/policy"
 )
 
@@ -34,21 +39,188 @@ func evalState(t *testing.T, workers int) (*searchState, policy.Assignment, []Mo
 func TestEvaluatorFingerprintCanonical(t *testing.T) {
 	st, base, moves := evalState(t, 1)
 	ev := st.eval
+	baseKey := ev.designKey(base)
 
-	// Substituting a move's policy must fingerprint identically to
-	// actually applying the move.
+	// Swapping a move's term into the base key must give the key of the
+	// design with the move actually applied.
 	m := moves[0]
-	applied := m.ApplyTo(base)
-	want := ev.fingerprint(applied, m.proc, applied[m.proc])
-	if got := ev.fingerprint(base, m.proc, m.pol); got != want {
-		t.Errorf("substituted fingerprint %x != applied fingerprint %x", got, want)
+	want := ev.designKey(m.ApplyTo(base))
+	if got := ev.moveKey(baseKey, base, &m); got != want {
+		t.Errorf("incremental key %x != applied key %x", got, want)
 	}
-	// Different moves must not collide with the base fingerprint.
-	baseKey := ev.fingerprint(base, m.proc, base[m.proc])
+	// Different moves must not collide with the base key.
 	for i := range moves {
-		if key := ev.fingerprint(base, moves[i].proc, moves[i].pol); key == baseKey {
-			t.Errorf("move %v fingerprints like the unchanged assignment", moves[i])
+		if key := ev.moveKey(baseKey, base, &moves[i]); key == baseKey {
+			t.Errorf("move %v keys like the unchanged assignment", moves[i])
 		}
+	}
+}
+
+// canonicalDesign is the canonical serialization the memo was keyed by
+// before the incremental key (through a SHA-256 of it): every origin in
+// sorted order, each replica as node+reexec/checkpoints, "-" for an
+// absent process.
+func canonicalDesign(origins []model.ProcID, d policy.Assignment) string {
+	var buf []byte
+	for _, id := range origins {
+		p, ok := d[id]
+		if !ok {
+			buf = append(buf, '-', '|')
+			continue
+		}
+		for _, r := range p.Replicas {
+			buf = strconv.AppendInt(buf, int64(r.Node), 10)
+			buf = append(buf, '+')
+			buf = strconv.AppendInt(buf, int64(r.Reexec), 10)
+			buf = append(buf, '/')
+			buf = strconv.AppendInt(buf, int64(r.Checkpoints), 10)
+			buf = append(buf, ' ')
+		}
+		buf = append(buf, '|')
+	}
+	return string(buf)
+}
+
+// TestEvaluatorKeyMatchesCanonicalSerialization cross-checks the
+// incremental memo key against canonicalDesign over 100k random
+// (design, move) pairs from generated problems, walked from the initial
+// design with checkpointing on: the incremental key equals the key
+// computed from scratch, and two keys are equal exactly when the two
+// serializations are. The pairs cover remap, checkpoint and
+// add/drop-replica moves, designs with an absent process, and moves
+// that give an absent process a policy.
+func TestEvaluatorKeyMatchesCanonicalSerialization(t *testing.T) {
+	const pairs = 100_000
+	rng := rand.New(rand.NewSource(21))
+	serOf := make(map[memoKey][sha256.Size]byte)
+	keyOf := make(map[[sha256.Size]byte]memoKey)
+	seen := func(k memoKey, ser string) {
+		h := sha256.Sum256([]byte(ser))
+		if prev, ok := serOf[k]; ok && prev != h {
+			t.Fatalf("key %x shared by two serializations, one of them %q", k, ser)
+		}
+		if prev, ok := keyOf[h]; ok && prev != k {
+			t.Fatalf("serialization %q has keys %x and %x", ser, prev, k)
+		}
+		serOf[k], keyOf[h] = h, k
+	}
+	kinds := make(map[string]int)
+	for n := 0; n < pairs; {
+		p := randomProblem(rng, 6+rng.Intn(15), 2+rng.Intn(3), 1+rng.Intn(3))
+		opts := DefaultOptions(MXR)
+		opts.EnableCheckpointing = true
+		st, err := newSearchState(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := st.eval
+		d, err := st.initialMPA()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reexec := func() policy.Policy {
+			return policy.Reexecution(arch.NodeID(rng.Intn(p.Arch.NumNodes())), p.Faults.K)
+		}
+		for walk := 0; walk < 400 && n < pairs; walk++ {
+			// Now and then take a process out of the design or put it
+			// back; while it is out, moves may give it a policy again.
+			if rng.Intn(8) == 0 {
+				if len(d) == len(st.origins) {
+					delete(d, st.origins[rng.Intn(len(st.origins))])
+				} else {
+					for _, id := range st.origins {
+						if _, ok := d[id]; !ok {
+							d[id] = reexec()
+						}
+					}
+				}
+			}
+			moves := st.generateMoves(d, st.origins)
+			for _, id := range st.origins {
+				if _, ok := d[id]; !ok {
+					moves = append(moves, Move{proc: id, pol: reexec()})
+				}
+			}
+			if len(moves) == 0 {
+				break
+			}
+			base := ev.designKey(d)
+			seen(base, canonicalDesign(st.origins, d))
+			var next policy.Assignment
+			for j := 0; j < 8 && n < pairs; j++ {
+				m := moves[rng.Intn(len(moves))]
+				applied := m.ApplyTo(d)
+				want := ev.designKey(applied)
+				if got := ev.moveKey(base, d, &m); got != want {
+					t.Fatalf("move %v on %q: incremental key %x, from scratch %x",
+						m, canonicalDesign(st.origins, d), got, want)
+				}
+				seen(want, canonicalDesign(st.origins, applied))
+				kinds[moveKind(d, m)]++
+				if len(d) < len(st.origins) {
+					kinds["absent process in design"]++
+				}
+				next = applied
+				n++
+			}
+			d = next
+		}
+	}
+	for _, kind := range []string{"remap", "checkpoint", "add replica", "drop replica",
+		"policy for absent process", "absent process in design"} {
+		if kinds[kind] == 0 {
+			t.Errorf("no %s pair was checked", kind)
+		}
+	}
+	t.Logf("pairs by kind: %v; %d distinct designs", kinds, len(serOf))
+}
+
+// moveKind classifies a move against the design it applies to.
+func moveKind(d policy.Assignment, m Move) string {
+	old, ok := d[m.proc]
+	switch {
+	case !ok:
+		return "policy for absent process"
+	case len(m.pol.Replicas) > len(old.Replicas):
+		return "add replica"
+	case len(m.pol.Replicas) < len(old.Replicas):
+		return "drop replica"
+	}
+	for i, r := range m.pol.Replicas {
+		if r.Checkpoints != old.Replicas[i].Checkpoints {
+			return "checkpoint"
+		}
+	}
+	return "remap"
+}
+
+// TestProposalSteadyStateAllocs pins the cost of an SA step once its
+// arena is warm: a proposal served by the memo and a reschedule into
+// the arena allocate nothing, and both leave the design as they found
+// it.
+func TestProposalSteadyStateAllocs(t *testing.T) {
+	st, base, moves := evalState(t, 1)
+	ev := st.eval
+	es := ev.getScratch()
+	defer ev.scratch.Put(es)
+	ctx := context.Background()
+	d := base.Clone()
+	m := &moves[0]
+	k := ev.moveKey(ev.designKey(d), d, m)
+	if r, sch := ev.propose(ctx, es.sc, d, m, k); !r.OK || sch == nil {
+		t.Fatalf("first proposal: ok=%v, scheduled=%v; want a scheduled, costed move", r.OK, sch != nil)
+	}
+	if r, sch := ev.propose(ctx, es.sc, d, m, k); !r.OK || sch != nil {
+		t.Fatalf("second proposal: ok=%v, scheduled=%v; want a memo hit", r.OK, sch != nil)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ev.propose(ctx, es.sc, d, m, k) }); allocs != 0 {
+		t.Errorf("memo-hit proposal allocates %.1f objects, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ev.buildMove(es.sc, d, m) }); allocs != 0 {
+		t.Errorf("warm-arena reschedule allocates %.1f objects, want 0", allocs)
+	}
+	if !reflect.DeepEqual(d, base) {
+		t.Error("proposals left the design changed")
 	}
 }
 

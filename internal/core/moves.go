@@ -57,11 +57,6 @@ func (st *searchState) generateMoves(asgn policy.Assignment, procs []model.ProcI
 		allowed := st.p.WCET.AllowedNodes(id)
 		_, pinned := st.p.FixedMapping[id]
 
-		used := make(map[arch.NodeID]bool, len(cur.Replicas))
-		for _, rep := range cur.Replicas {
-			used[rep.Node] = true
-		}
-
 		appendMove := func(pol policy.Policy) {
 			if pol.Equal(cur) {
 				return
@@ -75,7 +70,7 @@ func (st *searchState) generateMoves(asgn policy.Assignment, procs []model.ProcI
 				continue
 			}
 			for _, n := range allowed {
-				if used[n] {
+				if cur.UsesNode(n) {
 					continue
 				}
 				pol := cur.Clone()
@@ -118,7 +113,7 @@ func (st *searchState) generateMoves(asgn policy.Assignment, procs []model.ProcI
 		// k+1 executions.
 		if len(cur.Replicas) < k+1 {
 			for _, n := range allowed {
-				if used[n] {
+				if cur.UsesNode(n) {
 					continue
 				}
 				nodes := append(cur.Nodes(), n)

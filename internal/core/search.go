@@ -114,19 +114,6 @@ func (st *searchState) evaluate(asgn policy.Assignment) (*sched.Schedule, Cost, 
 	return s, costOf(s), nil
 }
 
-// evaluateInto is the cost-only fast path of evaluate: the schedule is
-// built into the reusable scratch arena and only its cost escapes, so
-// sweeping a move neighborhood allocates nothing in steady state. The
-// scheduler is deterministic, so the cost is bit-identical to
-// evaluate's; ok is false when the scheduler rejected the assignment.
-func (st *searchState) evaluateInto(sc *sched.Scratch, asgn policy.Assignment) (Cost, bool) {
-	s, err := sched.BuildInto(sc, st.schedInput(asgn))
-	if err != nil {
-		return worstCost, false
-	}
-	return costOf(s), true
-}
-
 // initialMPA is the paper's step 1 (line 2 of Figure 6): assign the
 // default policy of the strategy to every free process and derive a
 // mapping that balances the utilization among the nodes. Processes are

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/ftdse/internal/arch"
@@ -198,7 +199,7 @@ func (s *Schedule) CriticalPath() []model.ProcID {
 		return nil
 	}
 	var chain []model.ProcID
-	seenInst := make(map[policy.InstID]bool)
+	seenInst := make([]bool, len(s.items))
 	cur := s.proc(s.worstProc).bindOn
 	for cur != NoInst && !seenInst[cur] {
 		seenInst[cur] = true
@@ -211,14 +212,14 @@ func (s *Schedule) CriticalPath() []model.ProcID {
 			cur = NoInst
 		}
 	}
-	// Reverse into path order and deduplicate origins keeping the first
-	// occurrence.
-	out := make([]model.ProcID, 0, len(chain))
-	seen := make(map[model.ProcID]bool, len(chain))
-	for i := len(chain) - 1; i >= 0; i-- {
-		if !seen[chain[i]] {
-			seen[chain[i]] = true
-			out = append(out, chain[i])
+	// Reverse into path order and deduplicate origins in place, keeping
+	// the first occurrence. Paths are short, so a linear scan of the
+	// kept prefix beats a set.
+	slices.Reverse(chain)
+	out := chain[:0]
+	for _, id := range chain {
+		if !slices.Contains(out, id) {
+			out = append(out, id)
 		}
 	}
 	return out
