@@ -16,6 +16,10 @@ import (
 	"repro/ftdse/service"
 )
 
+// problemMemoSize bounds the documents the coordinator's ProblemMemo
+// remembers: the service's default result cache size.
+const problemMemoSize = 128
+
 // Node names one solver (ftdsed) member of the cluster.
 type Node struct {
 	// Name is the member's stable cluster identity (shard placement
@@ -130,6 +134,7 @@ type cjob struct {
 	attempts     int    // dispatch attempts (for backoff/diagnostics)
 	improvements int
 	cancelReq    bool
+	cached       bool // the last dispatch was answered from the node's result cache
 	result       json.RawMessage
 	errMsg       string
 	done         chan struct{}
@@ -143,6 +148,7 @@ type Coordinator struct {
 	wal     *journal // nil without Config.Journal
 	hc      *http.Client
 	members map[string]*member // immutable map, mutable members
+	memo    *service.ProblemMemo
 
 	mu      sync.Mutex
 	self    string // advertised coordinator URL (set by Start)
@@ -190,6 +196,7 @@ func New(cfg Config) (*Coordinator, error) {
 		ring:    r,
 		hc:      &http.Client{Timeout: cfg.HTTPTimeout},
 		members: members,
+		memo:    service.NewProblemMemo(problemMemoSize),
 		jobs:    make(map[string]*cjob),
 		open:    make(map[string]*cjob),
 		ckpts:   make(map[string]json.RawMessage),
@@ -589,10 +596,17 @@ func (c *Coordinator) dispatch(j *cjob) {
 	j.attempts++
 	attempt := j.attempts
 	j.node, j.remoteID = m.name, st.ID
+	j.cached = st.Cached
 	if !service.TerminalState(j.state) {
 		j.state = service.StateRunning
 	}
+	// A cancel that arrived while this dispatch was in flight found no
+	// node to forward to; forward it now, or the solve runs to its end.
+	lateCancel := j.cancelReq && !service.TerminalState(st.State)
 	j.mu.Unlock()
+	if lateCancel {
+		c.cancelRemote(context.Background(), m.name, st.ID)
+	}
 	if attempt == 1 {
 		// Time from admission to the first node accepting the job — the
 		// cluster-level analogue of the node's queue wait.
@@ -716,6 +730,7 @@ func (j *cjob) status() service.JobStatus {
 		State:        j.state,
 		Fingerprint:  j.fp,
 		TraceID:      j.traceID,
+		Cached:       j.cached,
 		Improvements: j.improvements,
 		SubmittedAt:  j.submitted,
 		Error:        j.errMsg,

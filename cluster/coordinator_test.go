@@ -204,13 +204,14 @@ func TestClusterSolveAndNodeCacheAffinity(t *testing.T) {
 
 	body := submitBody(t, genProblem(6, 1), service.SolveOptions{})
 	st := postSolve(t, srv.URL, body, http.StatusOK, "wait")
-	if st.State != service.StateDone || len(st.Result) == 0 {
+	if st.State != service.StateDone || len(st.Result) == 0 || st.Cached {
 		t.Fatalf("first solve = %+v", st)
 	}
 	// An identical resubmission is a new coordinator job, but the owning
-	// node answers it from its result cache without re-solving.
+	// node answers it from its result cache without re-solving, and the
+	// coordinator reports that.
 	st2 := postSolve(t, srv.URL, body, http.StatusOK, "wait")
-	if st2.State != service.StateDone {
+	if st2.State != service.StateDone || !st2.Cached {
 		t.Fatalf("resubmission = %+v", st2)
 	}
 	if st2.ID == st.ID {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -60,7 +61,8 @@ func writeBadRequest(w http.ResponseWriter, err error) {
 // document parses, the options normalize, a warm start (if any) is a
 // well-formed checkpoint — and returns its fingerprint. Validating at
 // the edge keeps garbage out of the journal: every journaled submit
-// record is dispatchable.
+// record is dispatchable. The document goes through the coordinator's
+// ProblemMemo, so a repeated one is neither decoded nor re-encoded.
 func (c *Coordinator) validate(req service.SubmitRequest) (string, error) {
 	if len(req.Problem) == 0 {
 		return "", errors.New("missing problem document")
@@ -68,11 +70,7 @@ func (c *Coordinator) validate(req service.SubmitRequest) (string, error) {
 	if req.TraceID != "" && !obs.ValidTraceID(req.TraceID) {
 		return "", fmt.Errorf("invalid trace id %q", req.TraceID)
 	}
-	prob, err := ftdse.ReadProblem(bytes.NewReader(req.Problem))
-	if err != nil {
-		return "", err
-	}
-	fp, err := service.Fingerprint(prob, req.Options)
+	_, fp, err := c.memo.Resolve(req.Problem, req.Options)
 	if err != nil {
 		return "", err
 	}
@@ -272,21 +270,30 @@ func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 		// Forward the cancel; the monitor's poll observes the remote
 		// terminal state and concludes the job (cancelReq set, so the
 		// remote cancellation is final rather than a failover signal).
-		if m := c.members[node]; m != nil {
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodDelete,
-				m.url+"/jobs/"+remoteID, nil)
-			if err == nil {
-				if resp, err := c.hc.Do(req); err == nil {
-					resp.Body.Close()
-				}
-			}
-		}
+		// With no node yet, the monitor concludes the job itself, or the
+		// dispatch in flight forwards the cancel once the node accepts.
+		c.cancelRemote(r.Context(), node, remoteID)
 	}
 	select {
 	case <-j.done:
 	case <-r.Context().Done():
 	}
 	writeJSON(w, http.StatusOK, j.status())
+}
+
+// cancelRemote forwards a cancel to the node running a job.
+func (c *Coordinator) cancelRemote(ctx context.Context, node, remoteID string) {
+	m := c.members[node]
+	if m == nil {
+		return
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, m.url+"/jobs/"+remoteID, nil)
+	if err != nil {
+		return
+	}
+	if resp, err := c.hc.Do(req); err == nil {
+		resp.Body.Close()
+	}
 }
 
 // handleEvents re-serves a job's improvement stream from whichever node

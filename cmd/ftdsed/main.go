@@ -47,7 +47,7 @@ func main() {
 	addr := flag.String("addr", ":8385", "listen address")
 	queue := flag.Int("queue", 64, "job queue capacity (submissions beyond it get 429)")
 	pool := flag.Int("pool", runtime.GOMAXPROCS(0), "concurrent solves (worker pool size)")
-	cache := flag.Int("cache", 128, "result cache entries (negative disables)")
+	cache := flag.Int("cache", 128, "result cache entries, and problem documents memoized (negative disables both)")
 	maxLimit := flag.Duration("max-time-limit", 0, "cap on per-request time limits (0 = uncapped)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful drain timeout on shutdown")
 	pprof := flag.Bool("pprof", false, "serve /debug/pprof/ and /debug/rtrace profiling endpoints")

@@ -6,13 +6,17 @@
 // zero lost jobs — every submission reaches "done" with a result —
 // plus at least one live shard left standing. It exits non-zero on any
 // violation and writes the shard-stats document to -shards-out for CI
-// to upload as an artifact. With -trace-out it additionally submits one
+// to upload as an artifact. After the storm it submits one small fresh
+// problem twice and requires the second answer to be a cache hit: the
+// coordinator reports it Cached, with the first answer's fingerprint and
+// byte-identical result bytes. With -trace-out it additionally submits one
 // flight-recorded solve through the coordinator, verifies the single
 // trace ID contract (submission status, every SSE event, and the final
 // result carry the same id), and writes the search trace JSONL there.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -138,10 +142,43 @@ func main() {
 			log.Fatalf("clustersmoke: no live nodes left")
 		}
 	}
+	cacheRun(ctx, c)
 	if *traceOut != "" {
 		traceRun(ctx, c, *traceOut)
 	}
 	fmt.Printf("ok: %d/%d jobs done, zero lost\n", len(sts), len(sts))
+}
+
+// cacheRun submits one fresh problem twice through the coordinator and
+// verifies that the second answer comes from the owning node's result
+// cache: the coordinator marks it Cached, and its fingerprint and result
+// bytes equal the first answer's.
+func cacheRun(ctx context.Context, c *client.Client) {
+	prob := ftdse.GenerateProblem(
+		ftdse.GenSpec{Procs: 8, Nodes: 3, Seed: 500},
+		ftdse.FaultModel{K: 1, Mu: ftdse.Ms(5)})
+	opts := service.SolveOptions{MaxIterations: 30, Workers: 1}
+	first, err := c.SubmitWait(ctx, prob, opts)
+	if err != nil {
+		log.Fatalf("clustersmoke: cache probe submit: %v", err)
+	}
+	if first.State != service.StateDone || first.Cached {
+		log.Fatalf("clustersmoke: cache probe first answer: state %q cached %t (%s)",
+			first.State, first.Cached, first.Error)
+	}
+	second, err := c.SubmitWait(ctx, prob, opts)
+	if err != nil {
+		log.Fatalf("clustersmoke: cache probe resubmit: %v", err)
+	}
+	switch {
+	case second.State != service.StateDone || !second.Cached:
+		log.Fatalf("clustersmoke: resubmission not a cache hit: state %q cached %t", second.State, second.Cached)
+	case second.Fingerprint != first.Fingerprint:
+		log.Fatalf("clustersmoke: resubmission fingerprint %s, want %s", second.Fingerprint, first.Fingerprint)
+	case !bytes.Equal(second.Result, first.Result):
+		log.Fatalf("clustersmoke: cache hit returned different result bytes")
+	}
+	fmt.Printf("cache hit: %s answered from the node cache (fingerprint %s)\n", second.ID, second.Fingerprint)
 }
 
 // traceRun submits one flight-recorded solve through the coordinator,

@@ -5,47 +5,53 @@ import (
 	"sync"
 )
 
-// resultCache is a fixed-capacity LRU over fingerprint → encoded
-// JobResult document. Values are the exact bytes served to clients, so
-// a hit returns a byte-identical result without re-solving.
-type resultCache struct {
+// lru is a fixed-capacity, mutex-guarded least-recently-used map. The
+// service keeps two: the result cache (fingerprint → encoded JobResult
+// document, the exact bytes served to clients, so a hit returns a
+// byte-identical result without re-solving) and the ProblemMemo
+// (document key → parsed problem and fingerprint).
+type lru[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int
 	order *list.List // front = most recently used
-	items map[string]*list.Element
+	items map[K]*list.Element
 }
 
-type cacheEntry struct {
-	key  string
-	body []byte
+type lruEntry[K comparable, V any] struct {
+	key K
+	val V
 }
 
-func newResultCache(capacity int) *resultCache {
-	return &resultCache{
+// newLRU builds an LRU of the given capacity; capacity <= 0 stores
+// nothing.
+func newLRU[K comparable, V any](capacity int) *lru[K, V] {
+	return &lru[K, V]{
 		cap:   capacity,
 		order: list.New(),
-		items: make(map[string]*list.Element, capacity),
+		items: make(map[K]*list.Element, capacity),
 	}
 }
 
-// get returns the cached document and marks it most recently used.
-func (c *resultCache) get(key string) ([]byte, bool) {
+// get returns the stored value and marks it most recently used.
+func (c *lru[K, V]) get(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).body, true
+	return el.Value.(*lruEntry[K, V]).val, true
 }
 
-// put stores a document, evicting the least recently used entry when
-// over capacity. Re-putting an existing key refreshes its recency but
-// keeps the first body: solves are deterministic per fingerprint, and
-// keeping the original preserves byte-identity with results already
-// handed out.
-func (c *resultCache) put(key string, body []byte) {
+// put stores a value, evicting the least recently used entry when over
+// capacity. Re-putting an existing key refreshes its recency but keeps
+// the first value: both users store a pure function of the key (solves
+// are deterministic per fingerprint; a document parses to one problem),
+// and keeping the original result preserves byte-identity with results
+// already handed out.
+func (c *lru[K, V]) put(key K, val V) {
 	if c.cap <= 0 {
 		return
 	}
@@ -55,16 +61,16 @@ func (c *resultCache) put(key string, body []byte) {
 		c.order.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.order.PushFront(&cacheEntry{key: key, body: body})
+	c.items[key] = c.order.PushFront(&lruEntry[K, V]{key: key, val: val})
 	for c.order.Len() > c.cap {
 		last := c.order.Back()
 		c.order.Remove(last)
-		delete(c.items, last.Value.(*cacheEntry).key)
+		delete(c.items, last.Value.(*lruEntry[K, V]).key)
 	}
 }
 
-// len reports the number of cached results.
-func (c *resultCache) len() int {
+// len reports the number of stored entries.
+func (c *lru[K, V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()

@@ -53,3 +53,82 @@ func Fingerprint(p ftdse.Problem, o SolveOptions) (string, error) {
 	io.WriteString(h, "\x00"+no.canonical())
 	return "sha256:" + hex.EncodeToString(h.Sum(nil)), nil
 }
+
+// ProblemMemo maps a submitted problem document to its parsed problem
+// and its fingerprint, so a byte-identical resubmission reaches the
+// result cache (or the in-flight job it coalesces onto) without
+// ReadProblem and without the WriteProblem re-encode inside
+// Fingerprint. The node (Service) and the cluster coordinator each keep
+// one. It is safe for concurrent use.
+//
+// The key is a SHA-256 over the document bytes as received, a 0x00
+// byte and the normalized options' canonical rendering — the same
+// string Fingerprint hashes, so requests that share a fingerprint
+// through option normalization (untimed requests differing only in
+// worker count, say) share an entry too. The hash is cryptographic on
+// purpose: a collision would hand one client another problem's cached
+// result. The value is a pure function of the key, so the memo is exact
+// by construction. Only successful parses are stored: a malformed or
+// invalid document is decoded, and rejected with the same error, on
+// every submission. A byte-different but equivalent document (indented
+// rather than compact, say) misses the memo and still hits the result
+// cache through its fingerprint.
+//
+// Memoized problems are shared by every job submitted with the same
+// document. That is safe because solves only read their problem
+// (Solver.Solve is safe for concurrent use on one problem).
+type ProblemMemo struct {
+	docs *lru[[sha256.Size]byte, parsedDoc]
+}
+
+// parsedDoc is one memoized document: its parse and its fingerprint.
+type parsedDoc struct {
+	problem ftdse.Problem
+	fp      string
+}
+
+// NewProblemMemo returns a memo holding at most size documents, least
+// recently used first out; size <= 0 stores nothing.
+func NewProblemMemo(size int) *ProblemMemo {
+	return &ProblemMemo{docs: newLRU[[sha256.Size]byte, parsedDoc](size)}
+}
+
+// Resolve parses a problem document and fingerprints it under opts,
+// returning exactly what ftdse.ReadProblem followed by Fingerprint
+// return, errors included, from the memo when it has seen the document
+// under equivalent options before.
+func (m *ProblemMemo) Resolve(doc []byte, opts SolveOptions) (ftdse.Problem, string, error) {
+	no, err := opts.normalized()
+	if err != nil {
+		// No key without options; the uncached path reports a malformed
+		// document before the options' own error.
+		return readAndFingerprint(doc, opts)
+	}
+	h := sha256.New()
+	h.Write(doc)
+	io.WriteString(h, "\x00"+no.canonical())
+	var key [sha256.Size]byte
+	h.Sum(key[:0])
+	if d, ok := m.docs.get(key); ok {
+		return d.problem, d.fp, nil
+	}
+	prob, fp, err := readAndFingerprint(doc, no)
+	if err != nil {
+		return ftdse.Problem{}, "", err
+	}
+	m.docs.put(key, parsedDoc{problem: prob, fp: fp})
+	return prob, fp, nil
+}
+
+// readAndFingerprint is the uncached path: decode, then Fingerprint.
+func readAndFingerprint(doc []byte, opts SolveOptions) (ftdse.Problem, string, error) {
+	prob, err := ftdse.ReadProblem(bytes.NewReader(doc))
+	if err != nil {
+		return ftdse.Problem{}, "", err
+	}
+	fp, err := Fingerprint(prob, opts)
+	if err != nil {
+		return ftdse.Problem{}, "", err
+	}
+	return prob, fp, nil
+}

@@ -184,9 +184,13 @@ func (j *job) finishLocked(state string, result []byte, errMsg string) {
 	j.finished = &now
 	j.result = result
 	j.errMsg = errMsg
-	// The solve has consumed the problem; drop it so retained terminal
-	// jobs (up to Config.MaxJobs) hold only their result bytes.
+	// The solve has consumed the problem and the checkpoint loop, the
+	// only reader of lastImp, stopped before the solve concluded; drop
+	// both so retained terminal jobs (up to Config.MaxJobs) hold only
+	// their result bytes. The problem may be shared with other jobs
+	// through the ProblemMemo; only this job's handle goes.
 	j.problem = ftdse.Problem{}
+	j.lastImp = ftdse.Improvement{}
 	close(j.done)
 	j.wakeLocked()
 }

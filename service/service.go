@@ -72,8 +72,9 @@ type Config struct {
 	// runtime.GOMAXPROCS(0)). Each solve may itself use
 	// SolveOptions.Workers goroutines for move evaluation.
 	PoolWorkers int
-	// CacheSize bounds the LRU result cache entries (default 128;
-	// negative disables caching).
+	// CacheSize bounds the LRU result cache entries and, separately,
+	// the problem documents the ProblemMemo remembers (default 128;
+	// negative disables both).
 	CacheSize int
 	// MaxJobs bounds the terminal jobs retained for status queries;
 	// the oldest are forgotten first (default 4096).
@@ -107,8 +108,9 @@ func (c Config) withDefaults() Config {
 // Handler, and Close to drain.
 type Service struct {
 	cfg     Config
-	solver  *ftdse.Solver // shared base; per-job variants derived With()
-	cache   *resultCache
+	solver  *ftdse.Solver        // shared base; per-job variants derived With()
+	cache   *lru[string, []byte] // fingerprint → encoded JobResult
+	memo    *ProblemMemo
 	met     *metrics
 	log     *slog.Logger
 	cluster clusterState // node-mode identity (set by registration)
@@ -133,7 +135,8 @@ func New(cfg Config) *Service {
 	s := &Service{
 		cfg:      cfg,
 		solver:   ftdse.NewSolver(),
-		cache:    newResultCache(cfg.CacheSize),
+		cache:    newLRU[string, []byte](cfg.CacheSize),
+		memo:     NewProblemMemo(cfg.CacheSize),
 		log:      cfg.Logger,
 		jobs:     make(map[string]*job),
 		inflight: make(map[string]*job),
@@ -357,9 +360,10 @@ type submitErr struct {
 
 func (e *submitErr) Error() string { return e.err.Error() }
 
-// prepare validates one request and computes its fingerprint. The
-// request's trace ID is validated (or minted when absent), so every
-// admitted submission is traceable.
+// prepare validates one request and computes its fingerprint, through
+// the ProblemMemo so a repeated document is neither decoded nor
+// re-encoded. The request's trace ID is validated (or minted when
+// absent), so every admitted submission is traceable.
 func (s *Service) prepare(req SubmitRequest) (prepared, error) {
 	opts, err := req.Options.normalized()
 	if err != nil {
@@ -378,11 +382,9 @@ func (s *Service) prepare(req SubmitRequest) (prepared, error) {
 	if len(req.Problem) == 0 {
 		return prepared{}, errors.New("missing problem document")
 	}
-	prob, err := ftdse.ReadProblem(bytes.NewReader(req.Problem))
-	if err != nil {
-		return prepared{}, err
-	}
-	fp, err := Fingerprint(prob, opts)
+	// The memo keys on the options after the MaxTimeLimit clamp, which
+	// the fingerprint includes.
+	prob, fp, err := s.memo.Resolve(req.Problem, opts)
 	if err != nil {
 		return prepared{}, err
 	}

@@ -649,7 +649,7 @@ func TestFingerprintStability(t *testing.T) {
 	if err := ftdse.WriteProblem(&doc, p); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ftdse.ReadProblem(&doc)
+	back, err := ftdse.ReadProblem(bytes.NewReader(doc.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -685,7 +685,31 @@ func TestFingerprintStability(t *testing.T) {
 	if fp5 == fp1 {
 		t.Error("a different iteration budget must change the fingerprint")
 	}
-	if _, err := service.Fingerprint(p, service.SolveOptions{Strategy: "bogus"}); err == nil {
+	bogus := service.SolveOptions{Strategy: "bogus"}
+	if _, err := service.Fingerprint(p, bogus); err == nil {
 		t.Error("Fingerprint accepted an unknown strategy")
+	}
+	// The memo answers exactly what ReadProblem plus Fingerprint answer,
+	// errors included, on first sight and on repeat.
+	memo := service.NewProblemMemo(8)
+	for _, o := range []service.SolveOptions{base, eq, timed, other, bogus} {
+		wantFP, wantErr := service.Fingerprint(back, o)
+		for round := 0; round < 2; round++ {
+			prob, fp, err := memo.Resolve(doc.Bytes(), o)
+			if fp != wantFP || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Errorf("memo %+v round %d = (%q, %v), want (%q, %v)", o, round, fp, err, wantFP, wantErr)
+				continue
+			}
+			if err != nil {
+				continue
+			}
+			var enc bytes.Buffer
+			if err := ftdse.WriteProblem(&enc, prob); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(enc.Bytes(), doc.Bytes()) {
+				t.Errorf("memo %+v round %d returned a different problem", o, round)
+			}
+		}
 	}
 }

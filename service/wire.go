@@ -249,7 +249,8 @@ type JobStatus struct {
 	// TraceID is the job's request identity (see SubmitRequest.TraceID).
 	TraceID string `json:"trace_id,omitempty"`
 	// Cached marks a submission answered from the result cache without
-	// re-solving.
+	// re-solving; through a coordinator, one the owning node answered
+	// from its cache.
 	Cached bool `json:"cached,omitempty"`
 	// Improvements counts the incumbent solutions found so far (the
 	// events delivered on the job's SSE stream).
@@ -283,9 +284,10 @@ type JobResult struct {
 	// result keeps the original solve's trace ID (the document is stored
 	// byte-for-byte); the per-submission identity is JobStatus.TraceID.
 	TraceID string `json:"trace_id,omitempty"`
-	// Spans are the solve's server-side timings (queue_wait, solve; the
-	// coordinator prepends submit and dispatch spans), with StartMs
-	// relative to the submission the span set was recorded under.
+	// Spans are the solve's server-side timings on the node that ran it
+	// (queue_wait, solve), with StartMs relative to the submission the
+	// span set was recorded under. A coordinator passes the node's
+	// document through unchanged and adds no spans of its own.
 	Spans []obs.Span `json:"spans,omitempty"`
 	// TraceJSONL carries the flight-recorder trace document (the
 	// ftdse.WriteTrace JSONL form) when the job ran with
