@@ -3,6 +3,8 @@ package client_test
 import (
 	"context"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -169,5 +171,34 @@ func TestClientQueueFullAndCancel(t *testing.T) {
 	}
 	if _, err := c.Cancel(ctx, b.ID); err != nil {
 		t.Fatalf("Cancel queued: %v", err)
+	}
+}
+
+// TestZeroProblemIsAnError: every entry point that encodes a problem
+// document reports a zero Problem as an error, and the client sends
+// nothing.
+func TestZeroProblemIsAnError(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		t.Errorf("a zero problem reached the server: %s %s", r.Method, r.URL)
+		http.Error(w, "unexpected", http.StatusInternalServerError)
+	}))
+	defer srv.Close()
+	c := client.New(srv.URL, srv.Client())
+	ctx := context.Background()
+	var zero ftdse.Problem
+	var opts service.SolveOptions
+	for _, call := range []struct {
+		name string
+		run  func() error
+	}{
+		{"ftdse.WriteProblem", func() error { return ftdse.WriteProblem(io.Discard, zero) }},
+		{"service.Fingerprint", func() error { _, err := service.Fingerprint(zero, opts); return err }},
+		{"client.NewRequest", func() error { _, err := client.NewRequest(zero, opts); return err }},
+		{"Client.Submit", func() error { _, err := c.Submit(ctx, zero, opts); return err }},
+		{"Client.SubmitWait", func() error { _, err := c.SubmitWait(ctx, zero, opts); return err }},
+	} {
+		if err := call.run(); err == nil {
+			t.Errorf("%s accepted a zero Problem", call.name)
+		}
 	}
 }

@@ -117,9 +117,8 @@ func (m *member) snapshot() (alive, ready bool, depth int) {
 // own IDs and maps them to (node, remote job id); the mapping changes
 // on failover, the ID never does.
 type cjob struct {
-	id  string
-	fp  string
-	req service.SubmitRequest
+	id string
+	fp string
 	// traceID is the request identity minted (or accepted) at the submit
 	// edge; it never changes across failover re-dispatches, so one solve
 	// is one trace ID in the journal, every node's logs, the SSE stream
@@ -127,7 +126,10 @@ type cjob struct {
 	traceID   string
 	submitted time.Time
 
-	mu           sync.Mutex
+	mu sync.Mutex
+	// req is the submission, read by dispatch; a terminal job drops it
+	// (its problem bytes and any warm start).
+	req          service.SubmitRequest
 	state        string
 	node         string // owning member name ("" while unassigned)
 	remoteID     string // job id on the owning node
@@ -253,6 +255,7 @@ func (c *Coordinator) replay(recs []journalRecord) {
 			}
 			j.state = r.State
 			j.result = r.Result
+			j.req = service.SubmitRequest{}
 			close(j.done)
 			if c.open[j.fp] == j {
 				delete(c.open, j.fp)
@@ -359,7 +362,8 @@ func (c *Coordinator) healthPass() {
 			m.fails++
 			wasAlive := m.alive
 			if m.fails >= c.cfg.FailAfter && m.alive {
-				m.alive, m.ready = false, false
+				// A dead node has no queue to report.
+				m.alive, m.ready, m.depth = false, false, 0
 			}
 			died := wasAlive && !m.alive
 			fails := m.fails
@@ -537,11 +541,16 @@ func (c *Coordinator) monitor(j *cjob) {
 // checkpoint as warm start so a resumed solve continues from the last
 // incumbent.
 func (c *Coordinator) dispatch(j *cjob) {
+	j.mu.Lock()
+	req, terminal := j.req, service.TerminalState(j.state)
+	j.mu.Unlock()
+	if terminal {
+		return // concluded since the monitor looked
+	}
 	m, stole := c.pickNode(j.fp)
 	if m == nil {
 		return // no live node; the monitor retries next tick
 	}
-	req := j.req
 	req.TraceID = j.traceID
 	warm := false
 	if ck := c.LatestCheckpoint(j.fp); ck != nil {
@@ -695,6 +704,10 @@ func (c *Coordinator) conclude(j *cjob, state string, result json.RawMessage, er
 	j.state = state
 	j.result = result
 	j.errMsg = errMsg
+	// Only dispatch reads the request, and never for a terminal job;
+	// retained terminal jobs (up to Config.MaxJobs) keep their result
+	// only. Journal replay reads the journal, not this field.
+	j.req = service.SubmitRequest{}
 	close(j.done)
 	j.mu.Unlock()
 	c.mu.Lock()

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/ftdse"
+	"repro/ftdse/client"
 	"repro/ftdse/service"
 )
 
@@ -162,5 +163,91 @@ func TestCancelDuringDispatchReachesNode(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("the cancel never reached the node: the solve is still running")
+	}
+}
+
+// TestDeadNodeReportsNoQueueDepth: once the health loop declares a node
+// dead, /cluster/shards lists it with no queue depth rather than the
+// depth of its last good probe.
+func TestDeadNodeReportsNoQueueDepth(t *testing.T) {
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(service.ReadyStatus{Ready: true, QueueDepth: 3, Node: "n1"})
+	}))
+	defer node.Close()
+	c, err := New(Config{Nodes: []Node{{Name: "n1", URL: node.URL}}, FailAfter: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close(context.Background())
+	c.healthPass()
+	if got := c.shardStats()[0]; !got.Alive || got.QueueDepth != 3 {
+		t.Fatalf("healthy node: alive=%v queue_depth=%d, want true and 3", got.Alive, got.QueueDepth)
+	}
+	node.Close()
+	for i := 0; i < c.cfg.FailAfter; i++ {
+		c.healthPass()
+	}
+	if got := c.shardStats()[0]; got.Alive || got.QueueDepth != 0 {
+		t.Errorf("dead node: alive=%v queue_depth=%d, want false and 0", got.Alive, got.QueueDepth)
+	}
+}
+
+// TestConcludedJobDropsRequest: a terminal job keeps its result but not
+// its request, so the up to Config.MaxJobs retained jobs hold no
+// problem bytes.
+func TestConcludedJobDropsRequest(t *testing.T) {
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/readyz":
+			json.NewEncoder(w).Encode(service.ReadyStatus{Ready: true, Node: "n1"})
+		case "/solve":
+			// Answered in place, as a node's result cache does.
+			json.NewEncoder(w).Encode(service.JobStatus{ID: "r1", State: service.StateDone,
+				Result: json.RawMessage(`{}`), Cached: true})
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer node.Close()
+	c, err := New(Config{Nodes: []Node{{Name: "n1", URL: node.URL}}, PollInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(c.Handler())
+	defer front.Close()
+	defer c.Close(context.Background())
+	if err := c.Start(front.URL); err != nil {
+		t.Fatal(err)
+	}
+	p := ftdse.GenerateProblem(ftdse.GenSpec{Procs: 10, Nodes: 2, Seed: 4},
+		ftdse.FaultModel{K: 1, Mu: ftdse.Ms(5)})
+	req, err := client.NewRequest(p, service.SolveOptions{MaxIterations: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(front.URL+"/solve?wait=1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st service.JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || st.State != service.StateDone {
+		t.Fatalf("submit: state %q, %v; want %q", st.State, err, service.StateDone)
+	}
+	c.mu.Lock()
+	j := c.jobs[st.ID]
+	c.mu.Unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if len(j.req.Problem) != 0 || j.req.WarmStart != nil {
+		t.Errorf("concluded job holds %d problem bytes and warm start %v", len(j.req.Problem), j.req.WarmStart != nil)
+	}
+	if len(j.result) == 0 {
+		t.Error("concluded job lost its result")
 	}
 }

@@ -150,6 +150,11 @@ func (w *WCET) MustGet(p model.ProcID, n NodeID) model.Time {
 	return c
 }
 
+// Row returns the WCETs of process p indexed by NodeID, 0 where p
+// cannot be mapped; nil for an unknown process. Unlike AllowedNodes it
+// does not allocate. The slice must not be modified.
+func (w *WCET) Row(p model.ProcID) []model.Time { return w.row(p) }
+
 // AllowedNodes returns, in ascending order, the nodes process p can be
 // mapped to (the set N_Pi of the paper).
 func (w *WCET) AllowedNodes(p model.ProcID) []NodeID {

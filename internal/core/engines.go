@@ -198,14 +198,20 @@ func (TabuEngine) Explore(ctx context.Context, s *Search) error {
 // trajectories — so SA results cache and reproduce like the
 // deterministic engines.
 //
-// SA drives its own proposal path rather than Evaluate and
-// Materialize: a step applies its move to SA's private design in place,
-// looks the proposal up in the evaluator's memo by a key kept up to
-// date move by move, schedules a miss into one arena checked out for
-// the whole run, and undoes the move. An accepted proposal's critical
-// path is read from that arena, and a schedule to keep is built only
-// for a proposal that beats the incumbent, the only one Publish keeps.
-// Costs, counters and sweep events are those of one Evaluate per step.
+// SA drives its own proposal path rather than Moves, Evaluate and
+// Materialize. It keeps the size of each critical-path process's
+// neighborhood (the one Moves lists, in the same order), draws an index
+// over their total and builds only that move, into a buffer it reuses.
+// A step applies the move to SA's private design in place, looks the
+// proposal up in the evaluator's memo by a key kept up to date move by
+// move, schedules a miss into one arena checked out for the whole run,
+// and undoes the move. On acceptance the move's buffer becomes the
+// process's policy and the replaced policy's storage the next buffer,
+// the new critical path is read into a reused slice, and the
+// neighborhood sizes are recounted. A schedule to keep is built only
+// for a proposal that beats the incumbent, the only one Publish keeps,
+// so no other step allocates. Costs, counters and sweep events are
+// those of one Evaluate per step over the Moves list.
 //
 // The zero value is ready to use: seed 1 (or Options.Seed when set)
 // and a size-derived iteration count. The start temperature is 5% of
@@ -257,73 +263,156 @@ func (e SimulatedAnnealingEngine) Explore(ctx context.Context, s *Search) error 
 	if seed == 0 {
 		seed = 1
 	}
-	rng := rand.New(rand.NewSource(seed))
-
-	temp := max(0.05*saEnergy(cost), 1)
 
 	ev := s.st.eval
 	es := ev.getScratch()
 	defer ev.scratch.Put(es)
-	key := ev.designKey(cur)
-	cp := sch.CriticalPath()
-
-	// The neighborhood only changes when a move is accepted (cur and
-	// cp move), so it is regenerated lazily: at low temperature most
-	// proposals are rejected, and recomputing the identical move slice
-	// every iteration would dominate SA's non-scheduling cost.
-	var moves []Move
-	stale := true
+	a := newAnnealer(s, es.sc, cur, sch, cost, seed)
 	for it := 0; it < iters && !stopped(ctx); it++ {
-		s.Tick()
-		if stale {
-			moves = s.Moves(cur, cp)
-			if len(moves) == 0 {
-				moves = s.Moves(cur, s.st.origins)
-			}
-			stale = false
-		}
-		if len(moves) == 0 {
-			break
-		}
-		m := &moves[rng.Intn(len(moves))]
-		mkey := ev.moveKey(key, cur, m)
-		r, msch := ev.propose(ctx, es.sc, cur, m, mkey)
-		temp *= saCooling
-		if temp < 1e-3 {
-			temp = 1e-3
-		}
-		if !r.OK {
-			continue
-		}
-		delta := saEnergy(r.Cost) - saEnergy(cost)
-		if delta >= 0 && rng.Float64() >= math.Exp(-delta/temp) {
-			continue
-		}
-		// Accepted. A new incumbent gets a schedule of its own, built
-		// from a private copy of the design that the schedule keeps;
-		// otherwise the arena's schedule serves, rebuilt there when the
-		// proposal was a memo hit.
-		var keep *sched.Schedule
-		if s.improves(r.Cost) {
-			keep, _, _ = s.st.evaluate(m.ApplyTo(cur))
-			msch = keep
-		} else if msch == nil {
-			msch, _ = ev.buildMove(es.sc, cur, m)
-		}
-		if msch == nil {
-			continue // the scheduler rejected a design it costed before
-		}
-		cp = msch.CriticalPath()
-		cur[m.proc] = m.pol
-		key, cost, stale = mkey, r.Cost, true
-		if keep != nil {
-			s.Publish("sa", cur, keep, cost)
-		}
-		if s.ShouldStop() {
+		if !a.step(ctx) {
 			break
 		}
 	}
 	return nil
+}
+
+// annealer is the working state of one SA run. It owns its design: a
+// private copy whose policies keep their replicas in one slab, each
+// with room for the widest policy a move can make, so the replica
+// buffer a move is built into can become the moved process's policy on
+// acceptance and the replaced policy's storage the next buffer.
+type annealer struct {
+	s    *Search
+	sc   *sched.Scratch // the run's arena, from the evaluator's pool
+	rng  *rand.Rand
+	temp float64
+
+	cur  policy.Assignment
+	key  memoKey // cur's memo key, kept move by move
+	cost Cost
+
+	// cp is cur's critical path. hoods are the neighborhoods moves are
+	// drawn from, those of cp's processes or, when they offer no move,
+	// of every origin, and total is their size: recounted (stale) only
+	// after cur changes.
+	cp    []model.ProcID
+	hoods []hood
+	total int
+	stale bool
+
+	buf []policy.Replica // the next move's replicas
+}
+
+func newAnnealer(s *Search, sc *sched.Scratch, cur policy.Assignment, sch *sched.Schedule, cost Cost, seed int64) *annealer {
+	origins := s.st.origins
+	width := s.st.p.Faults.K + 1
+	for _, id := range origins {
+		width = max(width, len(cur[id].Replicas))
+	}
+	slab := make([]policy.Replica, width*(len(origins)+1))
+	for i, id := range origins {
+		if p, ok := cur[id]; ok {
+			cur[id] = policy.Policy{Replicas: append(slab[i*width:i*width:(i+1)*width], p.Replicas...)}
+		}
+	}
+	return &annealer{
+		s:     s,
+		sc:    sc,
+		rng:   rand.New(rand.NewSource(seed)),
+		temp:  max(0.05*saEnergy(cost), 1),
+		cur:   cur,
+		key:   s.st.eval.designKey(cur),
+		cost:  cost,
+		cp:    sch.AppendCriticalPath(make([]model.ProcID, 0, s.st.merged.NumProcesses())),
+		hoods: make([]hood, 0, len(origins)),
+		stale: true,
+		buf:   slab[len(origins)*width : len(origins)*width],
+	}
+}
+
+// recount sizes the neighborhoods moves are drawn from: those of the
+// critical path, or of every origin when the path offers no move.
+func (a *annealer) recount() {
+	a.total = a.count(a.cp)
+	if a.total == 0 {
+		a.total = a.count(a.s.st.origins)
+	}
+	a.stale = false
+}
+
+// count sets hoods to the non-empty neighborhoods of procs and returns
+// their total size.
+func (a *annealer) count(procs []model.ProcID) int {
+	a.hoods = a.hoods[:0]
+	total := 0
+	for _, id := range procs {
+		if h, ok := a.s.st.hoodOf(a.cur, id); ok && h.size > 0 {
+			a.hoods = append(a.hoods, h)
+			total += h.size
+		}
+	}
+	return total
+}
+
+// move builds move j of the draw set, in Moves order, into the replica
+// buffer.
+func (a *annealer) move(j int) Move {
+	h := &a.hoods[0]
+	for i := 1; j >= h.size; i++ {
+		j -= h.size
+		h = &a.hoods[i]
+	}
+	return Move{proc: h.proc, pol: policy.Policy{Replicas: h.build(a.buf, j)}}
+}
+
+// step runs one annealing step: it draws one move of the neighborhood
+// uniformly, builds only that move, costs it through the evaluator's
+// memo and the run's arena, and accepts it with the Metropolis rule. It
+// reports false when the run should end: no move is left, or an
+// accepted move met Options.StopWhenSchedulable. Only a new incumbent
+// allocates: the schedule Publish keeps.
+func (a *annealer) step(ctx context.Context) bool {
+	s, ev := a.s, a.s.st.eval
+	s.Tick()
+	if a.stale {
+		a.recount()
+	}
+	if a.total == 0 {
+		return false
+	}
+	m := a.move(a.rng.Intn(a.total))
+	mkey := ev.moveKey(a.key, a.cur, &m)
+	r, msch := ev.propose(ctx, a.sc, a.cur, &m, mkey)
+	a.temp = max(a.temp*saCooling, 1e-3)
+	if !r.OK {
+		return true
+	}
+	delta := saEnergy(r.Cost) - saEnergy(a.cost)
+	if delta >= 0 && a.rng.Float64() >= math.Exp(-delta/a.temp) {
+		return true
+	}
+	// Accepted. A new incumbent gets a schedule of its own, built from
+	// a private copy of the design that the schedule keeps; otherwise
+	// the arena's schedule serves, rebuilt there when the proposal was
+	// a memo hit.
+	var keep *sched.Schedule
+	if s.improves(r.Cost) {
+		keep, _, _ = s.st.evaluate(m.ApplyTo(a.cur))
+		msch = keep
+	} else if msch == nil {
+		msch, _ = ev.buildMove(a.sc, a.cur, &m)
+	}
+	if msch == nil {
+		return true // the scheduler rejected a design it costed before
+	}
+	a.cp = msch.AppendCriticalPath(a.cp[:0])
+	a.buf = a.cur[m.proc].Replicas[:0]
+	a.cur[m.proc] = m.pol
+	a.key, a.cost, a.stale = mkey, r.Cost, true
+	if keep != nil {
+		s.Publish("sa", a.cur, keep, a.cost)
+	}
+	return !s.ShouldStop()
 }
 
 // PipelineEngine runs its stages sequentially: each stage starts from

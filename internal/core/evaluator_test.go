@@ -7,10 +7,12 @@ import (
 	"reflect"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/ftdse/internal/arch"
 	"repro/ftdse/internal/model"
 	"repro/ftdse/internal/policy"
+	"repro/ftdse/internal/sched"
 )
 
 // evalState builds a searchState plus an initial assignment and its
@@ -197,7 +199,9 @@ func moveKind(d policy.Assignment, m Move) string {
 // TestProposalSteadyStateAllocs pins the cost of an SA step once its
 // arena is warm: a proposal served by the memo and a reschedule into
 // the arena allocate nothing, and both leave the design as they found
-// it.
+// it. A full step (draw, build, propose, then reject, or accept without
+// a new incumbent) allocates nothing either, over steps that both
+// accept and reject, and keeps the annealer's key that of its design.
 func TestProposalSteadyStateAllocs(t *testing.T) {
 	st, base, moves := evalState(t, 1)
 	ev := st.eval
@@ -221,6 +225,41 @@ func TestProposalSteadyStateAllocs(t *testing.T) {
 	}
 	if !reflect.DeepEqual(d, base) {
 		t.Error("proposals left the design changed")
+	}
+
+	s := newSearch(st, time.Time{})
+	sch, cost, err := st.evaluate(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An incumbent no design beats, so no step finds a new one; and a
+	// memo table sized beforehand, so its growth does not count.
+	s.bestC, s.hasBest = Cost{}, true
+	ev.cache = make(map[memoKey]MoveEval, 1<<12)
+	a := newAnnealer(s, es.sc, base.Clone(), sch, cost, 1)
+	accepted, rejected := 0, 0
+	steps := func() {
+		for i := 0; i < 300; i++ {
+			key := a.key
+			if !a.step(ctx) {
+				t.Fatal("the annealer ran out of moves")
+			}
+			if a.key != key {
+				accepted++
+			} else {
+				rejected++
+			}
+		}
+	}
+	steps() // warm the arena
+	if allocs := testing.AllocsPerRun(1, steps); allocs != 0 {
+		t.Errorf("300 SA steps allocate %.0f objects, want 0", allocs)
+	}
+	if accepted == 0 || rejected == 0 {
+		t.Errorf("steps accepted %d and rejected %d moves; want both", accepted, rejected)
+	}
+	if got := ev.designKey(a.cur); got != a.key {
+		t.Errorf("annealer key %x, its design's key %x", a.key, got)
 	}
 }
 
@@ -328,6 +367,35 @@ func TestEvaluatorWorkerCountsAgree(t *testing.T) {
 	for i := range seq {
 		if seq[i].OK != par[i].OK || seq[i].Cost != par[i].Cost {
 			t.Errorf("move %d: sequential %+v vs parallel %+v", i, seq[i].Cost, par[i].Cost)
+		}
+	}
+}
+
+// TestAnnealerDrawSet: SA draws from the moves Search.Moves lists for
+// the critical path, index by index in the same order, and from those
+// of every origin when the path offers no move.
+func TestAnnealerDrawSet(t *testing.T) {
+	st, base, _ := evalState(t, 1)
+	sch, cost, err := st.evaluate(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := newAnnealer(newSearch(st, time.Time{}), sched.NewScratch(), base.Clone(), sch, cost, 1)
+	absent := model.ProcID(len(st.origins) + 1)
+	for _, path := range [][]model.ProcID{a.cp, {absent}} {
+		a.cp = path
+		a.recount()
+		want := st.generateMoves(a.cur, path)
+		if len(want) == 0 {
+			want = st.generateMoves(a.cur, st.origins)
+		}
+		if a.total != len(want) {
+			t.Fatalf("path %v: SA draws from %d moves, Moves lists %d", path, a.total, len(want))
+		}
+		for j := range want {
+			if got := a.move(j); !reflect.DeepEqual(got, want[j]) {
+				t.Fatalf("path %v: draw %d builds %v, Moves lists %v", path, j, got, want[j])
+			}
 		}
 	}
 }

@@ -35,105 +35,191 @@ func (m Move) String() string {
 	return fmt.Sprintf("P%d→%v", m.proc, m.pol)
 }
 
-// generateMoves produces the neighborhood of the current assignment
-// restricted to the given processes (normally those on the critical
-// path, Section 5.2):
+// hood is the move neighborhood of one process in a design (Section
+// 5.2, the transformations of Figure 8), kept as counts so that it can
+// be sized without building a move and its i-th move built alone, into
+// a caller's buffer. Its moves, in order:
 //
-//   - remapping moves: move one replica to another allowed node;
-//   - policy moves (MXR only): add a replica (redistributing the k+1
-//     executions, Figure 2c) or drop one.
+//  1. remaps: each replica, except a first replica pinned by P_M, to
+//     each free node (an allowed node no replica uses), in node order;
+//  2. checkpoint moves (extension), when checkpointing is enabled,
+//     k > 0 and the process is not forced to pure replication: one
+//     checkpoint more (below the bound) and then one fewer (above
+//     zero) on each replica that re-executes;
+//  3. for a process free to change its policy, with k > 0 and fewer
+//     than k+1 replicas: add a replica on each free node, re-spreading
+//     the k+1 executions (Figure 2c);
+//  4. likewise with more than one replica: drop each replica except a
+//     pinned first one, re-spreading the executions.
 //
-// Processes whose first replica is pinned by P_M keep that node; forced
-// policies (P_X, P_R, or the strategy itself) suppress policy moves.
-func (st *searchState) generateMoves(asgn policy.Assignment, procs []model.ProcID) []Move {
+// Every move changes the policy (a remap a node, a checkpoint move a
+// count, the others the replica count), so the size is closed-form
+// and no index names the current design.
+type hood struct {
+	proc    model.ProcID
+	cur     policy.Policy
+	row     []model.Time // the process's WCETs by node; > 0 where allowed
+	k       int
+	first   int  // the first replica a remap or drop may touch: 1 when pinned
+	free    int  // allowed nodes no replica uses
+	ckpt    bool // checkpoint moves are on
+	maxCk   int
+	reshape bool // add- and drop-replica moves are on
+	size    int
+}
+
+// hoodOf sizes the neighborhood of process id in design d; ok is false
+// when d has no policy for id.
+//
+//ftdse:hotpath
+func (st *searchState) hoodOf(d policy.Assignment, id model.ProcID) (h hood, ok bool) {
+	cur, ok := d[id]
+	if !ok {
+		return hood{}, false
+	}
 	k := st.p.Faults.K
+	freedom := st.p.freedomOf(id, st.opts.Strategy)
+	h = hood{
+		proc:    id,
+		cur:     cur,
+		row:     st.p.WCET.Row(id),
+		k:       k,
+		ckpt:    st.opts.EnableCheckpointing && k > 0 && freedom != freeRepl,
+		maxCk:   st.opts.MaxCheckpoints,
+		reshape: freedom == freeAny && k > 0,
+	}
+	if h.maxCk <= 0 {
+		h.maxCk = 4
+	}
+	if _, pinned := st.p.FixedMapping[id]; pinned {
+		h.first = 1
+	}
+	for n, c := range h.row {
+		if c > 0 && !cur.UsesNode(arch.NodeID(n)) {
+			h.free++
+		}
+	}
+	h.size = h.remaps() + h.adds() + h.drops()
+	for _, rep := range cur.Replicas {
+		up, down := h.checkpointMoves(rep)
+		h.size += b2i(up) + b2i(down)
+	}
+	return h, true
+}
+
+// remaps, adds and drops count the moves of those kinds.
+//
+//ftdse:hotpath
+func (h *hood) remaps() int { return max(len(h.cur.Replicas)-h.first, 0) * h.free }
+
+//ftdse:hotpath
+func (h *hood) adds() int {
+	if h.reshape && len(h.cur.Replicas) < h.k+1 {
+		return h.free
+	}
+	return 0
+}
+
+//ftdse:hotpath
+func (h *hood) drops() int {
+	if h.reshape && len(h.cur.Replicas) > 1 {
+		return len(h.cur.Replicas) - h.first
+	}
+	return 0
+}
+
+// checkpointMoves reports whether a replica may take one checkpoint
+// more and one fewer.
+//
+//ftdse:hotpath
+func (h *hood) checkpointMoves(rep policy.Replica) (up, down bool) {
+	if !h.ckpt || rep.Reexec == 0 {
+		return false, false
+	}
+	return rep.Checkpoints < h.maxCk, rep.Checkpoints > 0
+}
+
+// build writes the replicas of move i (0 <= i < size) into dst's
+// backing array and returns them. dst must have room for one replica
+// more than the current policy has and must not share its array.
+//
+//ftdse:hotpath
+func (h *hood) build(dst []policy.Replica, i int) []policy.Replica {
+	reps := h.cur.Replicas
+	r := len(reps)
+	if i < h.remaps() {
+		dst = dst[:r]
+		copy(dst, reps)
+		dst[h.first+i/h.free].Node = h.freeNode(i % h.free)
+		return dst
+	}
+	i -= h.remaps()
+	for ri, rep := range reps {
+		up, down := h.checkpointMoves(rep)
+		if n := b2i(up) + b2i(down); i >= n {
+			i -= n
+			continue
+		}
+		dst = dst[:r]
+		copy(dst, reps)
+		if up && i == 0 {
+			dst[ri].Checkpoints++
+		} else {
+			dst[ri].Checkpoints--
+		}
+		return dst
+	}
+	if i < h.adds() {
+		dst = dst[:r+1]
+		copy(dst, reps)
+		dst[r] = policy.Replica{Node: h.freeNode(i)}
+		policy.Spread(dst, h.k)
+		return dst
+	}
+	i -= h.adds()
+	if i < h.drops() {
+		ri := h.first + i
+		dst = dst[:r-1]
+		copy(dst, reps[:ri])
+		copy(dst[ri:], reps[ri+1:])
+		policy.Spread(dst, h.k)
+		return dst
+	}
+	panic("core: move index out of the neighborhood")
+}
+
+// freeNode returns the j-th free node in node order.
+//
+//ftdse:hotpath
+func (h *hood) freeNode(j int) arch.NodeID {
+	for n, c := range h.row {
+		if c > 0 && !h.cur.UsesNode(arch.NodeID(n)) {
+			if j == 0 {
+				return arch.NodeID(n)
+			}
+			j--
+		}
+	}
+	panic("core: free node out of range")
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// generateMoves lists the neighborhood of d restricted to procs
+// (normally a critical path, Section 5.2): each process's moves in
+// hood order, every move with replicas of its own.
+func (st *searchState) generateMoves(d policy.Assignment, procs []model.ProcID) []Move {
 	var out []Move
 	for _, id := range procs {
-		cur, ok := asgn[id]
-		if !ok {
-			continue
-		}
-		freedom := st.p.freedomOf(id, st.opts.Strategy)
-		allowed := st.p.WCET.AllowedNodes(id)
-		_, pinned := st.p.FixedMapping[id]
-
-		appendMove := func(pol policy.Policy) {
-			if pol.Equal(cur) {
-				return
-			}
-			out = append(out, Move{proc: id, pol: pol})
-		}
-
-		// Remap moves: each replica to each unused allowed node.
-		for ri := range cur.Replicas {
-			if ri == 0 && pinned {
-				continue
-			}
-			for _, n := range allowed {
-				if cur.UsesNode(n) {
-					continue
-				}
-				pol := cur.Clone()
-				pol.Replicas[ri].Node = n
-				appendMove(pol)
-			}
-		}
-
-		// Checkpointing moves (extension): add or remove one checkpoint
-		// on replicas that re-execute. Available to every strategy that
-		// re-executes when the option is enabled.
-		if st.opts.EnableCheckpointing && k > 0 && freedom != freeRepl {
-			maxCk := st.opts.MaxCheckpoints
-			if maxCk <= 0 {
-				maxCk = 4
-			}
-			for ri := range cur.Replicas {
-				rep := cur.Replicas[ri]
-				if rep.Reexec == 0 {
-					continue
-				}
-				if rep.Checkpoints < maxCk {
-					pol := cur.Clone()
-					pol.Replicas[ri].Checkpoints++
-					appendMove(pol)
-				}
-				if rep.Checkpoints > 0 {
-					pol := cur.Clone()
-					pol.Replicas[ri].Checkpoints--
-					appendMove(pol)
-				}
-			}
-		}
-
-		if freedom != freeAny || k == 0 {
-			continue
-		}
-
-		// Add a replica on each unused allowed node, re-spreading the
-		// k+1 executions.
-		if len(cur.Replicas) < k+1 {
-			for _, n := range allowed {
-				if cur.UsesNode(n) {
-					continue
-				}
-				nodes := append(cur.Nodes(), n)
-				appendMove(policy.Distribute(nodes, k))
-			}
-		}
-		// Drop each replica (keeping a pinned first replica).
-		if len(cur.Replicas) > 1 {
-			for ri := range cur.Replicas {
-				if ri == 0 && pinned {
-					continue
-				}
-				nodes := make([]arch.NodeID, 0, len(cur.Replicas)-1)
-				for rj, rep := range cur.Replicas {
-					if rj != ri {
-						nodes = append(nodes, rep.Node)
-					}
-				}
-				appendMove(policy.Distribute(nodes, k))
-			}
+		h, ok := st.hoodOf(d, id)
+		for i := 0; ok && i < h.size; i++ {
+			reps := h.build(make([]policy.Replica, 0, len(h.cur.Replicas)+1), i)
+			out = append(out, Move{proc: id, pol: policy.Policy{Replicas: reps}})
 		}
 	}
 	return out

@@ -134,8 +134,8 @@ func solveSA(t *testing.T, p core.Problem, opts core.Options) saRun {
 // equal observer stream and flight record (elapsed stamps aside). A
 // race's observer stream interleaves its racers by timing, so races
 // compare results and counters only. On a solve shaped like the
-// dse-anneal benchmark's, the engine must also allocate at most half as
-// many objects as referenceSA.
+// dse-anneal benchmark's, the engine must also allocate at most 0.15×
+// as many objects as referenceSA.
 func TestSimulatedAnnealingMatchesReference(t *testing.T) {
 	strategies := []core.Strategy{core.MXR, core.MX, core.MR}
 	for i := 0; i < 36; i++ {
@@ -196,8 +196,8 @@ func TestSimulatedAnnealingMatchesReference(t *testing.T) {
 	compareSA(t, "dse-anneal shape", got, want, true)
 	t.Logf("dse-anneal shape: allocated %d objects, reference %d (ratio %.2f)",
 		got.mallocs, want.mallocs, float64(got.mallocs)/float64(want.mallocs))
-	if 2*got.mallocs > want.mallocs {
-		t.Errorf("SA allocated %d objects, more than half the reference's %d", got.mallocs, want.mallocs)
+	if float64(got.mallocs) > 0.15*float64(want.mallocs) {
+		t.Errorf("SA allocated %d objects, more than 0.15× the reference's %d", got.mallocs, want.mallocs)
 	}
 }
 

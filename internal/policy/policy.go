@@ -187,22 +187,34 @@ func Distribute(nodes []arch.NodeID, k int) Policy {
 	if len(nodes) == 0 {
 		panic("policy: Distribute with no nodes")
 	}
-	r := len(nodes)
+	p := Policy{Replicas: make([]Replica, len(nodes))}
+	for i, n := range nodes {
+		p.Replicas[i].Node = n
+	}
+	Spread(p.Replicas, k)
+	return p
+}
+
+// Spread turns replicas into the combined policy Distribute gives their
+// nodes, in place: re-executions as Distribute spreads them and no
+// checkpoints. reps must not be empty.
+//
+//ftdse:hotpath
+func Spread(reps []Replica, k int) {
+	r := len(reps)
 	total := k + 1
 	if total < r {
 		total = r // more replicas than needed: one execution each
 	}
 	base := total / r
 	rem := total % r
-	p := Policy{Replicas: make([]Replica, r)}
-	for i, n := range nodes {
+	for i := range reps {
 		exec := base
 		if i < rem {
 			exec++
 		}
-		p.Replicas[i] = Replica{Node: n, Reexec: exec - 1}
+		reps[i] = Replica{Node: reps[i].Node, Reexec: exec - 1}
 	}
-	return p
 }
 
 // Assignment maps every process (by origin ProcID) to its policy. It is

@@ -195,16 +195,26 @@ func (s *Schedule) proc(id model.ProcID) procResult {
 // start (earliest), the last the worst process. Duplicated origins
 // (through replicas or node bindings) appear once.
 func (s *Schedule) CriticalPath() []model.ProcID {
-	if len(s.items) == 0 {
-		return nil
-	}
-	var chain []model.ProcID
-	seenInst := make([]bool, len(s.items))
+	return s.AppendCriticalPath(nil)
+}
+
+// AppendCriticalPath appends the critical path, as CriticalPath returns
+// it, to dst and returns the extended slice. It allocates only when dst
+// has no room for one entry per merged-graph process, which the walk
+// never exceeds before it drops repeated origins.
+//
+//ftdse:hotpath
+func (s *Schedule) AppendCriticalPath(dst []model.ProcID) []model.ProcID {
+	start := len(dst)
+	// Every binding names an instance placed before the bound one, and
+	// a process's replicas are placed together on distinct nodes, so
+	// the walk meets at most one instance per process; the step bound
+	// only ends a malformed chain.
 	cur := s.proc(s.worstProc).bindOn
-	for cur != NoInst && !seenInst[cur] {
-		seenInst[cur] = true
+	for steps := 0; cur != NoInst && steps < len(s.items); steps++ {
 		it := s.items[cur]
-		chain = append(chain, it.Inst.Proc.Origin)
+		dst = slices.Grow(dst, 1)[:len(dst)+1]
+		dst[len(dst)-1] = it.Inst.Proc.Origin
 		switch it.Bind {
 		case BindPrevOnNode, BindInput:
 			cur = it.BindOn
@@ -215,14 +225,16 @@ func (s *Schedule) CriticalPath() []model.ProcID {
 	// Reverse into path order and deduplicate origins in place, keeping
 	// the first occurrence. Paths are short, so a linear scan of the
 	// kept prefix beats a set.
-	slices.Reverse(chain)
-	out := chain[:0]
-	for _, id := range chain {
-		if !slices.Contains(out, id) {
-			out = append(out, id)
+	path := dst[start:]
+	slices.Reverse(path)
+	n := 0
+	for _, id := range path {
+		if !slices.Contains(path[:n], id) {
+			path[n] = id
+			n++
 		}
 	}
-	return out
+	return dst[:start+n]
 }
 
 // Violations lists the processes whose worst-case completion exceeds

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/ftdse/internal/arch"
@@ -186,4 +187,135 @@ func TestBuildIntoSteadyStateAllocs(t *testing.T) {
 		t.Errorf("scratch build allocates %.1f/op, fresh %.1f/op — arena not effective", scratchAllocs, freshAllocs)
 	}
 	t.Logf("allocs/op: scratch %.1f vs fresh %.1f", scratchAllocs, freshAllocs)
+}
+
+// referenceCriticalPath is the critical-path walk as it was before the
+// append variant: a fresh chain and a visited set per call. walked is
+// the number of instances the walk met.
+func referenceCriticalPath(s *Schedule) (path []model.ProcID, walked int) {
+	if len(s.items) == 0 {
+		return nil, 0
+	}
+	var chain []model.ProcID
+	seenInst := make([]bool, len(s.items))
+	cur := s.proc(s.worstProc).bindOn
+	for cur != NoInst && !seenInst[cur] {
+		seenInst[cur] = true
+		it := s.items[cur]
+		chain = append(chain, it.Inst.Proc.Origin)
+		switch it.Bind {
+		case BindPrevOnNode, BindInput:
+			cur = it.BindOn
+		default:
+			cur = NoInst
+		}
+	}
+	walked = len(chain)
+	slices.Reverse(chain)
+	out := chain[:0]
+	for _, id := range chain {
+		if !slices.Contains(out, id) {
+			out = append(out, id)
+		}
+	}
+	return out, walked
+}
+
+// multiRateSystem is scratchSystem's shape over two graphs whose
+// periods differ, so the merged graph holds several processes per
+// origin.
+func multiRateSystem(t *testing.T, rng *rand.Rand, nodes int) (Input, []model.ProcID) {
+	t.Helper()
+	app := model.NewApplication("multirate")
+	a := arch.New(nodes)
+	w := arch.NewWCET()
+	var ids []model.ProcID
+	for gi, period := range []int64{40, 120} {
+		g := app.AddGraph(fmt.Sprintf("G%d", gi), model.Ms(period), model.Ms(period))
+		var prev *model.Process
+		for i := 0; i < 4; i++ {
+			p := app.AddProcess(g, fmt.Sprintf("G%dP%d", gi, i))
+			for n := 0; n < nodes; n++ {
+				w.Set(p.ID, arch.NodeID(n), model.Ms(int64(1+rng.Intn(3))))
+			}
+			if prev != nil {
+				g.AddEdge(prev, p, 1+rng.Intn(4))
+			}
+			prev = p
+			ids = append(ids, p.ID)
+		}
+	}
+	merged, err := app.Merge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Input{
+		Graph:   merged,
+		Arch:    a,
+		WCET:    w,
+		Faults:  fault.Model{K: 2, Mu: model.Ms(1), Chi: model.Ms(1)},
+		Bus:     ttp.InitialConfig(a, 4, ttp.DefaultPerByte),
+		Options: Options{SlackSharing: true},
+	}, ids
+}
+
+// TestAppendCriticalPath holds CriticalPath and AppendCriticalPath to
+// referenceCriticalPath on fresh and arena schedules of random systems,
+// one of them multi-rate: the same path, appended after whatever dst
+// held; a walk that meets at most one instance per merged-graph
+// process; and no allocation when dst has room for that many entries.
+func TestAppendCriticalPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	repeats := 0
+	for _, system := range []func() (Input, []model.ProcID){
+		func() (Input, []model.ProcID) { return scratchSystem(t, rng, 6, 2) },
+		func() (Input, []model.ProcID) { return scratchSystem(t, rng, 10, 3) },
+		func() (Input, []model.ProcID) { return scratchSystem(t, rng, 14, 4) },
+		func() (Input, []model.ProcID) { return multiRateSystem(t, rng, 3) },
+	} {
+		in, ids := system()
+		st, err := NewStatic(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Static = st
+		sc := NewScratch()
+		procs := in.Graph.NumProcesses()
+		buf := make([]model.ProcID, 0, 2+procs)
+		for round := 0; round < 25; round++ {
+			in.Assignment = randomAssignment(rng, ids, in.Arch.NumNodes(), in.Faults.K)
+			fresh, err := Build(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reused, err := BuildInto(sc, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []*Schedule{fresh, reused} {
+				want, walked := referenceCriticalPath(s)
+				if walked > procs {
+					t.Fatalf("round %d: the walk met %d instances, more than the %d processes", round, walked, procs)
+				}
+				if walked > len(want) {
+					repeats++
+				}
+				if got := s.CriticalPath(); !slices.Equal(got, want) {
+					t.Fatalf("round %d: CriticalPath %v, reference %v", round, got, want)
+				}
+				prefix := []model.ProcID{-7, -8}
+				got := s.AppendCriticalPath(append(buf[:0], prefix...))
+				if !slices.Equal(got[:2], prefix) || !slices.Equal(got[2:], want) {
+					t.Fatalf("round %d: AppendCriticalPath after %v gave %v, want the prefix then %v",
+						round, prefix, got, want)
+				}
+				if allocs := testing.AllocsPerRun(10, func() { s.AppendCriticalPath(buf[:0]) }); allocs != 0 {
+					t.Fatalf("round %d: AppendCriticalPath into a buffer with room allocates %.0f objects", round, allocs)
+				}
+			}
+		}
+	}
+	if repeats == 0 {
+		t.Error("no walk met an origin twice; the deduplication went unchecked")
+	}
 }

@@ -38,8 +38,12 @@ type faultJSON struct {
 }
 
 // WriteProblem serializes a problem. Process names must be unique
-// across the whole application (they key the WCET table).
+// across the whole application (they key the WCET table). A problem
+// without an application, architecture or WCET table is an error.
 func WriteProblem(w io.Writer, p core.Problem) error {
+	if p.App == nil || p.Arch == nil || p.WCET == nil {
+		return fmt.Errorf("sysio: incomplete problem")
+	}
 	names, err := uniqueNames(p.App)
 	if err != nil {
 		return err
