@@ -36,7 +36,8 @@ func BenchmarkEngines(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			// Allocation counts are part of the engine contract: the
 			// evaluator's scratch arenas keep the move-sweep hot path
-			// allocation-free, and ftbench gates allocs_per_op in CI.
+			// allocation-free (gated by the internal/core allocation
+			// tests; reported here).
 			b.ReportAllocs()
 			solver := ftdse.NewSolver(
 				ftdse.WithEngine(eng),

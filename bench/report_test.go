@@ -5,12 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 )
 
 // sampleReport builds a small deterministic report for the round-trip
-// and comparison tests.
+// test.
 func sampleReport() *Report {
 	r := &Report{
 		Rev:       "abc1234",
@@ -34,7 +33,7 @@ func sampleReport() *Report {
 }
 
 // TestReportRoundTrip: emit → parse → emit is lossless and
-// byte-stable, so reports can be diffed and compared across revisions.
+// byte-stable, so reports can be diffed across revisions.
 func TestReportRoundTrip(t *testing.T) {
 	r := sampleReport()
 	var first bytes.Buffer
@@ -57,114 +56,6 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 	if !json.Valid(first.Bytes()) {
 		t.Error("report is not valid JSON")
-	}
-	if len(regressionsOf(t, r, r, 0.10)) != 0 {
-		t.Error("a report regresses against itself")
-	}
-}
-
-func regressionsOf(t *testing.T, old, new *Report, th float64) []Regression {
-	t.Helper()
-	return Compare(old, new, th)
-}
-
-// TestCompareDetectsSlowdown: an injected 2× wall-time slowdown on one
-// case must surface as a regression at the 10% threshold, on the right
-// case and metric, and the corpus p95 must trip too when the slow case
-// dominates the tail.
-func TestCompareDetectsSlowdown(t *testing.T) {
-	old := sampleReport()
-	slowed := sampleReport()
-	slowed.Cases[2].WallMS *= 2
-	slowed.ComputeSummary()
-
-	regs := Compare(old, slowed, 0.10)
-	if len(regs) == 0 {
-		t.Fatal("2x slowdown not detected")
-	}
-	var hit bool
-	for _, r := range regs {
-		if r.Case == "medium/tree/default" && r.Metric == "wall_ms" {
-			hit = true
-			if r.DeltaPct < 99 || r.DeltaPct > 101 {
-				t.Errorf("delta = %.1f%%, want ~100%%", r.DeltaPct)
-			}
-		}
-	}
-	if !hit {
-		t.Errorf("regressions %v miss medium/tree/default wall_ms", regs)
-	}
-	// The slowed case is the p95 of this small corpus.
-	var p95Hit bool
-	for _, r := range regs {
-		if r.Case == "summary" && r.Metric == "p95_wall_ms" {
-			p95Hit = true
-		}
-	}
-	if !p95Hit {
-		t.Errorf("regressions %v miss the summary p95", regs)
-	}
-	// The reverse direction — a speedup — is not a regression.
-	if regs := Compare(slowed, old, 0.10); len(regs) != 0 {
-		t.Errorf("speedup reported as regression: %v", regs)
-	}
-}
-
-// TestCompareQualityAndSchedulability: deterministic search-quality
-// metrics regress too — a worse makespan beyond the threshold and any
-// schedulable→unschedulable flip.
-func TestCompareQualityAndSchedulability(t *testing.T) {
-	old := sampleReport()
-	worse := sampleReport()
-	worse.Cases[0].MakespanUS = worse.Cases[0].MakespanUS * 3 / 2
-	worse.Cases[1].Schedulable = false
-	worse.Cases[1].TardinessUS = 1000
-
-	metrics := map[string]bool{}
-	for _, r := range Compare(old, worse, 0.10) {
-		metrics[r.Case+"/"+r.Metric] = true
-	}
-	if !metrics["small/random/default/makespan_us"] {
-		t.Error("makespan regression not detected")
-	}
-	if !metrics["small/random/sa/schedulable"] {
-		t.Error("schedulability flip not detected")
-	}
-}
-
-// TestCompareSkipsUnmatchedCases: corpora evolve; cases present in only
-// one report are not findings, and the summary is only compared when
-// the case sets match.
-func TestCompareSkipsUnmatchedCases(t *testing.T) {
-	old := sampleReport()
-	new := sampleReport()
-	new.Cases = new.Cases[:2]
-	new.Cases = append(new.Cases, CaseResult{Name: "large/chains/sa", WallMS: 1000})
-	new.ComputeSummary()
-	if regs := Compare(old, new, 0.10); len(regs) != 0 {
-		t.Errorf("unmatched cases produced regressions: %v", regs)
-	}
-}
-
-// TestCompareNoiseFloor: a relative worsening that stays under the
-// absolute noise floor (jitter on a very fast case, a couple of stray
-// runtime allocations) is not a finding.
-func TestCompareNoiseFloor(t *testing.T) {
-	old := sampleReport()
-	old.Cases[0].WallMS = 3.0
-	old.Cases[1].AllocsPerOp = 100
-	old.ComputeSummary()
-	noisy := sampleReport()
-	noisy.Cases[0].WallMS = 4.0      // +33% relative, but only 1ms absolute
-	noisy.Cases[1].AllocsPerOp = 130 // +30% relative, but under the floor
-	noisy.ComputeSummary()
-	for _, r := range Compare(old, noisy, 0.10) {
-		if r.Case == noisy.Cases[0].Name && r.Metric == "wall_ms" {
-			t.Errorf("1ms jitter reported as regression: %v", r)
-		}
-		if r.Case == noisy.Cases[1].Name && r.Metric == "allocs_per_op" {
-			t.Errorf("8-alloc jitter reported as regression: %v", r)
-		}
 	}
 }
 
@@ -216,34 +107,5 @@ func TestRunCorpusHonorsContext(t *testing.T) {
 	cancel()
 	if _, err := RunCorpus(ctx, Corpus(1, true), nil); err == nil {
 		t.Fatal("canceled corpus run returned a report")
-	}
-}
-
-// TestThresholdBoundary: a worsening exactly at the threshold does not
-// trip the gate; just beyond it does.
-func TestThresholdBoundary(t *testing.T) {
-	old := sampleReport()
-	at := sampleReport()
-	at.Cases[0].WallMS = old.Cases[0].WallMS * 1.10
-	at.ComputeSummary()
-	for _, r := range Compare(old, at, 0.10) {
-		if r.Case == at.Cases[0].Name && r.Metric == "wall_ms" {
-			t.Errorf("exactly-at-threshold change tripped the gate: %v", r)
-		}
-	}
-	over := sampleReport()
-	over.Cases[0].WallMS = old.Cases[0].WallMS * 1.12
-	over.ComputeSummary()
-	found := false
-	for _, r := range Compare(old, over, 0.10) {
-		if r.Case == over.Cases[0].Name && r.Metric == "wall_ms" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("12% worsening passed a 10% gate")
-	}
-	if !strings.Contains(Regression{Case: "c", Metric: "wall_ms", Old: 1, New: 2, DeltaPct: 100}.String(), "wall_ms") {
-		t.Error("Regression.String misses the metric")
 	}
 }

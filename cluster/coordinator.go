@@ -16,9 +16,20 @@ import (
 	"repro/ftdse/service"
 )
 
-// problemMemoSize bounds the documents the coordinator's ProblemMemo
-// remembers: the service's default result cache size.
-const problemMemoSize = 128
+const (
+	// problemMemoSize bounds the documents the coordinator's ProblemMemo
+	// remembers: the service's default result cache size.
+	problemMemoSize = 128
+	// maxJobs bounds the terminal jobs retained for status queries; the
+	// oldest are forgotten first.
+	maxJobs = 4096
+	// stealMargin is the queue-depth advantage (owner depth minus the
+	// lightest ready node's depth) that triggers work stealing when the
+	// shard owner is busy.
+	stealMargin = 2
+	// httpTimeout bounds each HTTP exchange with a node.
+	httpTimeout = 15 * time.Second
+)
 
 // Node names one solver (ftdsed) member of the cluster.
 type Node struct {
@@ -51,17 +62,6 @@ type Config struct {
 	// MaxPending bounds the open (non-terminal) jobs; submissions beyond
 	// it are rejected with 429 (default 1024).
 	MaxPending int
-	// MaxJobs bounds the terminal jobs retained for status queries
-	// (default 4096).
-	MaxJobs int
-	// VNodes is the virtual-node count per member (default 128).
-	VNodes int
-	// StealMargin is the queue-depth advantage (owner depth minus the
-	// lightest ready node's depth) that triggers work stealing when the
-	// shard owner is busy (default 2).
-	StealMargin int
-	// HTTPTimeout bounds each HTTP exchange with a node (default 15s).
-	HTTPTimeout time.Duration
 	// Logger receives the coordinator's structured log lines (dispatches,
 	// failovers, steals, node deaths), each tagged with the job's trace
 	// ID when one applies. nil discards them.
@@ -83,15 +83,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPending <= 0 {
 		c.MaxPending = 1024
-	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 4096
-	}
-	if c.StealMargin <= 0 {
-		c.StealMargin = 2
-	}
-	if c.HTTPTimeout <= 0 {
-		c.HTTPTimeout = 15 * time.Second
 	}
 	return c
 }
@@ -152,6 +143,12 @@ type Coordinator struct {
 	members map[string]*member // immutable map, mutable members
 	memo    *service.ProblemMemo
 
+	// ckptMu serializes checkpoint pushes from comparison through journal
+	// append to store, so a worse push cannot pass the comparison against
+	// a checkpoint a better push is about to replace. It is taken before
+	// mu, which is never held across the journal's fsync.
+	ckptMu sync.Mutex
+
 	mu      sync.Mutex
 	self    string // advertised coordinator URL (set by Start)
 	jobs    map[string]*cjob
@@ -189,14 +186,14 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		members[n.Name] = &member{name: n.Name, url: n.URL}
 	}
-	r, err := newRing(names, cfg.VNodes)
+	r, err := newRing(names)
 	if err != nil {
 		return nil, err
 	}
 	c := &Coordinator{
 		cfg:     cfg,
 		ring:    r,
-		hc:      &http.Client{Timeout: cfg.HTTPTimeout},
+		hc:      &http.Client{Timeout: httpTimeout},
 		members: members,
 		memo:    service.NewProblemMemo(problemMemoSize),
 		jobs:    make(map[string]*cjob),
@@ -460,7 +457,7 @@ func (c *Coordinator) failoverNode(name string) {
 // pickNode selects the dispatch target for a fingerprint: the first
 // live member in the ring's failover order — cache affinity, automatic
 // re-mapping around dead nodes — unless that owner is hot (not ready,
-// or backed up by more than StealMargin over the lightest ready
+// or backed up by more than stealMargin over the lightest ready
 // member), in which case the lightest ready member steals the job.
 func (c *Coordinator) pickNode(fp string) (m *member, stole bool) {
 	order := c.ring.order(fp)
@@ -488,7 +485,7 @@ func (c *Coordinator) pickNode(fp string) (m *member, stole bool) {
 		}
 	}
 	switch {
-	case ownerReady && (lightest == nil || ownerDepth-lightDepth <= c.cfg.StealMargin):
+	case ownerReady && (lightest == nil || ownerDepth-lightDepth <= stealMargin):
 		return owner, false
 	case lightest != nil && lightest != owner:
 		return lightest, true
@@ -705,7 +702,7 @@ func (c *Coordinator) conclude(j *cjob, state string, result json.RawMessage, er
 	j.result = result
 	j.errMsg = errMsg
 	// Only dispatch reads the request, and never for a terminal job;
-	// retained terminal jobs (up to Config.MaxJobs) keep their result
+	// retained terminal jobs (up to maxJobs) keep their result
 	// only. Journal replay reads the journal, not this field.
 	j.req = service.SubmitRequest{}
 	close(j.done)
@@ -715,7 +712,7 @@ func (c *Coordinator) conclude(j *cjob, state string, result json.RawMessage, er
 		delete(c.open, j.fp)
 	}
 	c.retired = append(c.retired, j.id)
-	for len(c.jobs) > c.cfg.MaxJobs && len(c.retired) > 0 {
+	for len(c.jobs) > maxJobs && len(c.retired) > 0 {
 		delete(c.jobs, c.retired[0])
 		c.retired = c.retired[1:]
 	}

@@ -401,6 +401,8 @@ func (c *Coordinator) handleCheckpointPush(w http.ResponseWriter, r *http.Reques
 		writeBadRequest(w, fmt.Errorf("checkpoint document: %w", err))
 		return
 	}
+	c.ckptMu.Lock()
+	defer c.ckptMu.Unlock()
 	c.mu.Lock()
 	stored, ok := c.ckpts[push.Fingerprint]
 	c.mu.Unlock()

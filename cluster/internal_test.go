@@ -193,7 +193,7 @@ func TestDeadNodeReportsNoQueueDepth(t *testing.T) {
 }
 
 // TestConcludedJobDropsRequest: a terminal job keeps its result but not
-// its request, so the up to Config.MaxJobs retained jobs hold no
+// its request, so the up to maxJobs retained jobs hold no
 // problem bytes.
 func TestConcludedJobDropsRequest(t *testing.T) {
 	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -32,19 +32,16 @@ type vnode struct {
 	name string
 }
 
-// defaultVNodes balances shard evenness against lookup cost; at 128
+// vnodesPer balances shard evenness against lookup cost; at 128
 // vnodes per member the heaviest member of a small cluster stays within
 // a few percent of fair share.
-const defaultVNodes = 128
+const vnodesPer = 128
 
 // newRing builds a ring of the given members (duplicates are an error;
 // order is immaterial).
-func newRing(members []string, vnodesPer int) (*ring, error) {
+func newRing(members []string) (*ring, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one member")
-	}
-	if vnodesPer <= 0 {
-		vnodesPer = defaultVNodes
 	}
 	r := &ring{}
 	seen := make(map[string]bool, len(members))

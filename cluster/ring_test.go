@@ -7,11 +7,11 @@ import (
 )
 
 func TestRingPlacementIgnoresInsertionOrder(t *testing.T) {
-	a, err := newRing([]string{"n1", "n2", "n3"}, 0)
+	a, err := newRing([]string{"n1", "n2", "n3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := newRing([]string{"n3", "n1", "n2"}, 0)
+	b, err := newRing([]string{"n3", "n1", "n2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,19 +27,19 @@ func TestRingPlacementIgnoresInsertionOrder(t *testing.T) {
 }
 
 func TestRingRejectsBadMembers(t *testing.T) {
-	if _, err := newRing(nil, 0); err == nil {
+	if _, err := newRing(nil); err == nil {
 		t.Error("empty ring accepted")
 	}
-	if _, err := newRing([]string{"a", ""}, 0); err == nil {
+	if _, err := newRing([]string{"a", ""}); err == nil {
 		t.Error("empty member name accepted")
 	}
-	if _, err := newRing([]string{"a", "b", "a"}, 0); err == nil {
+	if _, err := newRing([]string{"a", "b", "a"}); err == nil {
 		t.Error("duplicate member accepted")
 	}
 }
 
 func TestRingOrderCoversAllMembersOwnerFirst(t *testing.T) {
-	r, err := newRing([]string{"n1", "n2", "n3", "n4"}, 0)
+	r, err := newRing([]string{"n1", "n2", "n3", "n4"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +66,11 @@ func TestRingOrderCoversAllMembersOwnerFirst(t *testing.T) {
 // placement is untouched. This is the property that makes node death
 // cheap — survivors keep their caches warm.
 func TestRingOnlyDeadMembersKeysMove(t *testing.T) {
-	full, err := newRing([]string{"n1", "n2", "n3", "n4"}, 0)
+	full, err := newRing([]string{"n1", "n2", "n3", "n4"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := newRing([]string{"n1", "n2", "n4"}, 0)
+	without, err := newRing([]string{"n1", "n2", "n4"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRingOnlyDeadMembersKeysMove(t *testing.T) {
 }
 
 func TestRingBalance(t *testing.T) {
-	r, err := newRing([]string{"n1", "n2", "n3"}, 0)
+	r, err := newRing([]string{"n1", "n2", "n3"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,22 +1,18 @@
-// Command ftbench runs the reproducible benchmark corpus and manages
-// its machine-readable reports — the performance trajectory of this
-// repository.
+// Command ftbench runs the reproducible benchmark corpus and writes its
+// machine-readable report. The checked-in short-corpus report is the
+// baseline whose deterministic columns bench.TestCorpusCountsMatchBaseline
+// gates; wall time is measured by perfbench, not here.
 //
 // Usage:
 //
 //	ftbench [-short] [-seed 1] [-rev dev] [-out FILE] [-run substr]
-//	ftbench compare OLD.json NEW.json [-threshold 10%]
 //	ftbench corpus [-short] [-seed 1] -dir DIR
 //
 // The default command runs the corpus (size classes × graph shapes ×
 // engines, deterministic for a seed) and writes BENCH_<rev>.json with
-// per-case wall time, iterations, final cost, schedulability and
-// allocations, plus corpus-level median and p95 wall times.
-//
-// compare diffs two reports and exits with status 1 when NEW regresses
-// against OLD beyond the threshold (a percentage; "10%" and "10" both
-// mean ten percent) — the CI regression gate. Status 2 is a usage or
-// I/O error, 0 a clean comparison.
+// per-case wall time, iterations, final cost, schedulability,
+// scheduling passes and allocations, plus corpus-level median and p95
+// wall times.
 //
 // corpus writes each generated problem of the corpus as a JSON document
 // into a directory; equal seeds produce byte-identical files, which is
@@ -30,7 +26,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"repro/ftdse"
@@ -39,13 +34,8 @@ import (
 
 func main() {
 	args := os.Args[1:]
-	if len(args) > 0 {
-		switch args[0] {
-		case "compare":
-			os.Exit(runCompare(args[1:]))
-		case "corpus":
-			os.Exit(runCorpusDump(args[1:]))
-		}
+	if len(args) > 0 && args[0] == "corpus" {
+		os.Exit(runCorpusDump(args[1:]))
 	}
 	os.Exit(runCorpus(args))
 }
@@ -113,52 +103,6 @@ func runCorpus(args []string) int {
 	return 0
 }
 
-// runCompare diffs two reports; exit 1 signals a regression.
-func runCompare(args []string) int {
-	fs := flag.NewFlagSet("ftbench compare", flag.ExitOnError)
-	threshold := fs.String("threshold", "10%", "tolerated relative worsening, as a percentage")
-	// The flag package stops at the first positional argument; re-parse
-	// after each one so "compare OLD NEW -threshold 10%" — the
-	// documented form — works as well as flags-first.
-	var paths []string
-	fs.Parse(args)
-	for fs.NArg() > 0 {
-		paths = append(paths, fs.Arg(0))
-		fs.Parse(fs.Args()[1:])
-	}
-	if len(paths) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: ftbench compare OLD.json NEW.json [-threshold 10%]")
-		return 2
-	}
-	th, err := parseThreshold(*threshold)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)
-		return 2
-	}
-	old, err := readReport(paths[0])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)
-		return 2
-	}
-	new, err := readReport(paths[1])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)
-		return 2
-	}
-	regs := bench.Compare(old, new, th)
-	if len(regs) == 0 {
-		fmt.Fprintf(os.Stderr, "ftbench: no regression (%s -> %s, threshold %.1f%%)\n",
-			old.Rev, new.Rev, th*100)
-		return 0
-	}
-	fmt.Fprintf(os.Stderr, "ftbench: %d regression(s) from %s to %s (threshold %.1f%%):\n",
-		len(regs), old.Rev, new.Rev, th*100)
-	for _, r := range regs {
-		fmt.Fprintf(os.Stderr, "  %v\n", r)
-	}
-	return 1
-}
-
 // runCorpusDump writes every generated problem of the corpus to a
 // directory, one JSON document per case.
 func runCorpusDump(args []string) int {
@@ -194,25 +138,6 @@ func runCorpusDump(args []string) int {
 		}
 	}
 	return 0
-}
-
-// parseThreshold parses a percentage ("10%", "10", "2.5") into a
-// fraction.
-func parseThreshold(s string) (float64, error) {
-	v, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSpace(s), "%"), 64)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("invalid threshold %q (want a percentage like 10%%)", s)
-	}
-	return v / 100, nil
-}
-
-func readReport(path string) (*bench.Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return bench.ReadReport(f)
 }
 
 // sanitize makes a label safe as a file-name component.

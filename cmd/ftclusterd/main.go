@@ -83,7 +83,6 @@ func main() {
 	health := flag.Duration("health", time.Second, "node readiness probe cadence")
 	failAfter := flag.Int("fail-after", 3, "consecutive probe failures before a node is dead")
 	maxPending := flag.Int("max-pending", 1024, "open job cap (submissions beyond it get 429)")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per member (0 = default 128)")
 	drain := flag.Duration("drain", 30*time.Second, "loop shutdown timeout on exit")
 	pprof := flag.Bool("pprof", false, "serve /debug/pprof/ and /debug/rtrace profiling endpoints")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
@@ -110,7 +109,6 @@ func main() {
 		HealthInterval:     *health,
 		FailAfter:          *failAfter,
 		MaxPending:         *maxPending,
-		VNodes:             *vnodes,
 		Logger:             logger,
 	})
 	if err != nil {

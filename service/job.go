@@ -186,7 +186,7 @@ func (j *job) finishLocked(state string, result []byte, errMsg string) {
 	j.errMsg = errMsg
 	// The solve has consumed the problem and the checkpoint loop, the
 	// only reader of lastImp, stopped before the solve concluded; drop
-	// both so retained terminal jobs (up to Config.MaxJobs) hold only
+	// both so retained terminal jobs (up to maxJobs) hold only
 	// their result bytes. The problem may be shared with other jobs
 	// through the ProblemMemo; only this job's handle goes.
 	j.problem = ftdse.Problem{}

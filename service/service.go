@@ -76,9 +76,6 @@ type Config struct {
 	// the problem documents the ProblemMemo remembers (default 128;
 	// negative disables both).
 	CacheSize int
-	// MaxJobs bounds the terminal jobs retained for status queries;
-	// the oldest are forgotten first (default 4096).
-	MaxJobs int
 	// MaxTimeLimit, when positive, caps the per-request time limit so a
 	// client cannot occupy a worker forever (0 = uncapped).
 	MaxTimeLimit time.Duration
@@ -98,11 +95,12 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize == 0 {
 		c.CacheSize = 128
 	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 4096
-	}
 	return c
 }
+
+// maxJobs bounds the terminal jobs retained for status queries; the
+// oldest are forgotten first.
+const maxJobs = 4096
 
 // Service is a concurrent solve service. Create with New, mount
 // Handler, and Close to drain.
@@ -524,7 +522,7 @@ func (s *Service) enqueue(reqs []prepared) ([]*job, error) {
 // retireLocked is retire for callers already holding mu.
 func (s *Service) retireLocked(j *job) {
 	s.retired = append(s.retired, j.id)
-	for len(s.jobs) > s.cfg.MaxJobs && len(s.retired) > 0 {
+	for len(s.jobs) > maxJobs && len(s.retired) > 0 {
 		delete(s.jobs, s.retired[0])
 		s.retired = s.retired[1:]
 	}

@@ -1,9 +1,9 @@
 // Package metrics enforces the observability naming and cardinality
 // contract at obs.Registry registration sites:
 //
-//   - Metric names are compile-time constants: dashboards, alerts and
-//     ftbench reports grep for them, so a name computed at runtime is
-//     unfindable. They carry the ftdse_ (node tier) or ftcluster_
+//   - Metric names are compile-time constants: dashboards, alerts, the
+//     CI exposition checks and the perfbench counter reads grep for
+//     them, so a name computed at runtime is unfindable. They carry the ftdse_ (node tier) or ftcluster_
 //     (coordinator tier) prefix, counters end in _total, histograms end
 //     in a unit suffix (_seconds, _ms, _bytes, _ratio), and gauges do
 //     not masquerade as counters with a _total suffix.
