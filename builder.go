@@ -37,8 +37,8 @@ func NewProblem(name string) *ProblemBuilder {
 	}
 }
 
-// Nodes declares an architecture of n identically named nodes
-// (N0..Nn-1) on a TTP bus.
+// Nodes declares an architecture of n nodes on a TTP bus: NodeIDs
+// 0..n-1, named N1..Nn in every printed design, schedule and chart.
 func (b *ProblemBuilder) Nodes(n int) *ProblemBuilder {
 	b.arch = arch.New(n)
 	return b

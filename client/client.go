@@ -7,8 +7,7 @@
 // submissions rejected by a full queue return a *QueueFullError
 // carrying the server's Retry-After hint. By default the error is
 // surfaced immediately; WithRetry turns it into bounded, jittered
-// waiting, and WithFallback adds spare base URLs (a coordinator's
-// nodes, or replicas) tried when the current one is unreachable.
+// waiting.
 package client
 
 import (
@@ -30,18 +29,17 @@ import (
 )
 
 // Client talks to one ftdsed (or ftclusterd) instance, with optional
-// retry and base-URL failover. All methods are safe for concurrent use.
+// retry. All methods are safe for concurrent use.
 type Client struct {
+	base  string
 	http  *http.Client
 	retry retryPolicy
 
-	mu    sync.Mutex
-	bases []string // rotation order; bases[cur] is the current target
-	cur   int
-	rng   jitterSource
+	mu  sync.Mutex // guards rng
+	rng jitterSource
 }
 
-// Option configures a Client (see WithRetry, WithFallback).
+// Option configures a Client (see WithRetry).
 type Option func(*Client)
 
 // New returns a client for the service at baseURL (e.g.
@@ -50,28 +48,11 @@ func New(baseURL string, httpClient *http.Client, opts ...Option) *Client {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
 	}
-	c := &Client{bases: []string{strings.TrimRight(baseURL, "/")}, http: httpClient}
+	c := &Client{base: strings.TrimRight(baseURL, "/"), http: httpClient}
 	for _, o := range opts {
 		o(c)
 	}
 	return c
-}
-
-// base returns the current base URL.
-func (c *Client) baseURL() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bases[c.cur]
-}
-
-// failover rotates to the next base URL after from failed, unless a
-// concurrent caller already rotated away from it.
-func (c *Client) failover(from string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.bases[c.cur] == from && len(c.bases) > 1 {
-		c.cur = (c.cur + 1) % len(c.bases)
-	}
 }
 
 // QueueFullError reports a submission rejected by the service's
@@ -141,8 +122,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	attempts := max(c.retry.attempts, 1)
 	var last error
 	for a := 0; a < attempts; a++ {
-		base := c.baseURL()
-		err := c.once(ctx, method, base+path, raw, out)
+		err := c.once(ctx, method, c.base+path, raw, out)
 		if err == nil {
 			return nil
 		}
@@ -150,11 +130,6 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		wait, retryable := c.classify(err, a)
 		if !retryable || ctx.Err() != nil {
 			return err
-		}
-		if transportError(err) {
-			// The target may be down for good: rotate to a fallback so
-			// the next attempt (and subsequent calls) try elsewhere.
-			c.failover(base)
 		}
 		if a == attempts-1 {
 			break // out of attempts: skip the useless final sleep
@@ -278,18 +253,12 @@ func Result(st service.JobStatus) (service.JobResult, error) {
 // The stream replays the full improvement history first, so late
 // subscribers see every event.
 func (c *Client) Stream(ctx context.Context, id string, onEvent func(service.ProgressEvent)) (service.JobStatus, error) {
-	base := c.baseURL()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/jobs/"+id+"/events", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/jobs/"+id+"/events", nil)
 	if err != nil {
 		return service.JobStatus{}, err
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		// Rotate like do does so the caller's re-subscription (and every
-		// other call on this client) targets a live base.
-		if transportError(err) {
-			c.failover(base)
-		}
 		return service.JobStatus{}, err
 	}
 	defer resp.Body.Close()
@@ -344,7 +313,7 @@ func (c *Client) Stream(ctx context.Context, id string, onEvent func(service.Pro
 // name → value pairs. Labeled samples key as name{label="value"}, and
 // histograms contribute their _bucket/_sum/_count series.
 func (c *Client) Metrics(ctx context.Context) (map[string]float64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL()+"/metrics", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"net/url"
-	"strings"
 	"time"
 )
 
@@ -22,10 +21,9 @@ const defaultMaxWait = 30 * time.Second
 // submissions rejected by backpressure (HTTP 429) wait out the server's
 // Retry-After hint — jittered upward by as much as half, so a thundering
 // herd of equally rejected clients spreads out — and transport errors
-// (connection refused, reset) back off exponentially from 100ms,
-// rotating to a WithFallback base when one is configured. Everything
-// else (4xx validation errors, 5xx answers) still surfaces immediately:
-// retrying cannot fix a bad request.
+// (connection refused, reset) back off exponentially from 100ms.
+// Everything else (4xx validation errors, 5xx answers) still surfaces
+// immediately: retrying cannot fix a bad request.
 //
 // attempts is the total number of tries (values < 2 leave the client
 // effectively retry-free); maxWait caps a single sleep, <= 0 selecting
@@ -37,20 +35,6 @@ func WithRetry(attempts int, maxWait time.Duration) Option {
 			maxWait = defaultMaxWait
 		}
 		c.retry = retryPolicy{attempts: attempts, maxWait: maxWait}
-	}
-}
-
-// WithFallback adds spare base URLs: when the current base fails at the
-// transport level (unreachable, connection reset), the client rotates
-// to the next one — for every subsequent call, not just the failing one,
-// so a dead node is abandoned until the rotation comes back around.
-// Typical uses: the ftdsed nodes behind a coordinator, or a replica set
-// of coordinators.
-func WithFallback(urls ...string) Option {
-	return func(c *Client) {
-		for _, u := range urls {
-			c.bases = append(c.bases, strings.TrimRight(u, "/"))
-		}
 	}
 }
 
@@ -96,7 +80,7 @@ func (c *Client) classify(err error, attempt int) (time.Duration, bool) {
 
 // transportError reports whether err happened below HTTP: the request
 // never produced a response, so nothing server-side decided anything
-// and another base (or a later retry) may well succeed.
+// and a later retry may well succeed.
 func transportError(err error) bool {
 	var ue *url.Error
 	return errors.As(err, &ue)

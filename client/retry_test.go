@@ -105,30 +105,30 @@ func TestWithRetryHonorsContext(t *testing.T) {
 	}
 }
 
-func TestWithFallbackRoutesAroundDeadBase(t *testing.T) {
-	live := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(service.JobStatus{ID: "j-live", State: service.StateDone})
-	}))
-	defer live.Close()
-	// A base that is down for good: reserve a port, then close it.
-	dead := httptest.NewServer(http.NotFoundHandler())
-	deadURL := dead.URL
-	dead.Close()
+// flakyTransport fails the first fails round trips below HTTP, then
+// passes requests on.
+type flakyTransport struct {
+	fails int
+	calls atomic.Int64
+}
 
-	c := client.New(deadURL, nil,
-		client.WithFallback(live.URL),
-		client.WithRetry(3, time.Second))
+func (f *flakyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if int(f.calls.Add(1)) <= f.fails {
+		return nil, errors.New("scripted connection reset")
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+func TestWithRetryBacksOffTransportErrors(t *testing.T) {
+	srv, calls := stubServer(t)
+	flaky := &flakyTransport{fails: 2}
+	c := client.New(srv.URL, &http.Client{Transport: flaky}, client.WithRetry(3, time.Second))
 	st, err := c.Submit(context.Background(), testProblem(), service.SolveOptions{})
 	if err != nil {
-		t.Fatalf("Submit with fallback: %v", err)
+		t.Fatalf("Submit through two transport failures: %v", err)
 	}
-	if st.ID != "j-live" {
-		t.Fatalf("status = %+v", st)
-	}
-
-	// The rotation is sticky: the next call goes straight to the live
-	// base (one server call, no retry needed).
-	if _, err := c.Job(context.Background(), "j-live"); err != nil {
-		t.Fatalf("follow-up call after failover: %v", err)
+	if st.ID != "j1" || calls.Load() != 1 || flaky.calls.Load() != 3 {
+		t.Fatalf("status %+v after %d server calls and %d attempts, want j1 after 1 and 3",
+			st, calls.Load(), flaky.calls.Load())
 	}
 }

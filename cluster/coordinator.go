@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -832,7 +831,8 @@ type ShardStat struct {
 	OpenJobs int `json:"open_jobs"`
 }
 
-// shardStats renders the current shard map, sorted by node name.
+// shardStats renders the current shard map, sorted by node name (the
+// ring's member order).
 func (c *Coordinator) shardStats() []ShardStat {
 	owned := make(map[string]int)
 	c.mu.Lock()
@@ -854,6 +854,5 @@ func (c *Coordinator) shardStats() []ShardStat {
 			OpenJobs: owned[name],
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out
 }

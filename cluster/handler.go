@@ -477,12 +477,7 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 // handleReady answers the coordinator's own readiness: started, below
 // the admission cap, and at least one live node to dispatch to.
 func (c *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
-	alive := 0
-	for _, name := range c.ring.members {
-		if ok, _, _ := c.members[name].snapshot(); ok {
-			alive++
-		}
-	}
+	alive := c.aliveNodes()
 	c.mu.Lock()
 	st := service.ReadyStatus{
 		Ready:         c.started && !c.closed && alive > 0 && len(c.open) < c.cfg.MaxPending,

@@ -15,9 +15,11 @@ import (
 // acknowledged. Replaying the journal after a restart reconstructs the
 // open jobs (submitted but not yet terminal) and the freshest
 // checkpoint per fingerprint, so no acknowledged job is ever lost and a
-// resumed solve starts from its last incumbent. A truncated final line
-// — the tell-tale of dying mid-append — is tolerated and dropped; its
-// action was never acknowledged.
+// resumed solve starts from its last incumbent. Replay counts only
+// newline-terminated lines: a final line without its newline is the
+// tell-tale of dying mid-append, even when its bytes happen to parse,
+// and is dropped; its fsync never returned, so its action was never
+// acknowledged.
 
 // Journal record types.
 //
@@ -60,18 +62,25 @@ type journal struct {
 }
 
 // openJournal replays path (which need not exist yet) and opens it for
-// appending. The returned records are every complete line, in order.
+// appending. The returned records are every complete line, in order;
+// the file is truncated after the last of them.
 func openJournal(path string) (*journal, []journalRecord, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("cluster: opening journal: %w", err)
 	}
 	var recs []journalRecord
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
+	rd := bufio.NewReader(f)
 	valid := int64(0)
-	for sc.Scan() {
-		line := sc.Bytes()
+	for {
+		line, err := rd.ReadBytes('\n')
+		if err == io.EOF {
+			break // no line, or a torn one without its newline
+		}
+		if err != nil {
+			f.Close()
+			return nil, nil, fmt.Errorf("cluster: replaying journal: %w", err)
+		}
 		var r journalRecord
 		if err := json.Unmarshal(line, &r); err != nil {
 			// A malformed line can only be the torn tail of a crashed
@@ -81,11 +90,7 @@ func openJournal(path string) (*journal, []journalRecord, error) {
 			break
 		}
 		recs = append(recs, r)
-		valid += int64(len(line)) + 1
-	}
-	if err := sc.Err(); err != nil && err != bufio.ErrTooLong {
-		f.Close()
-		return nil, nil, fmt.Errorf("cluster: replaying journal: %w", err)
+		valid += int64(len(line))
 	}
 	if err := f.Truncate(valid); err != nil {
 		f.Close()

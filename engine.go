@@ -48,7 +48,8 @@ type TabuEngine = core.TabuEngine
 
 // SimulatedAnnealingEngine explores with a seeded, deterministic
 // geometric cooling schedule — a genuinely different algorithm over the
-// same move neighborhood. The zero value is ready to use; see WithSeed.
+// same move neighborhood. It has no settings of its own: WithSeed seeds
+// it, and it takes 8× the WithMaxIterations budget in steps.
 type SimulatedAnnealingEngine = core.SimulatedAnnealingEngine
 
 // PipelineEngine runs its stages sequentially, each starting from the

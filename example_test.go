@@ -49,10 +49,10 @@ func Example() {
 	// Output:
 	// schedulable: true
 	// worst-case schedule length: 73ms
-	// Sensor: {N0+1x}
-	// Filter: {N0+1x}
-	// Control: {N0+1x}
-	// Actuate: {N0+1x}
+	// Sensor: {N1+1x}
+	// Filter: {N1+1x}
+	// Control: {N1+1x}
+	// Actuate: {N1+1x}
 }
 
 // ExampleProblem_Evaluate schedules hand-made designs of the paper's
@@ -197,7 +197,7 @@ func ExampleRunScenario() {
 	//   m0:P1                  round   5 slot 0  [   100ms,    110ms)
 	//   m1:P2/2                round   9 slot 1  [   190ms,    200ms)
 	//
-	//        0ms                 62.500ms             125ms                187.500ms           2
+	//        0ms                 62.500ms             125ms                187.500ms       250ms
 	//    N1  |P1==========|P2/1=====================|P3==============...........................
 	//    N2  ....................................|P2/2======================....................
 	//   bus  .................................|mm...........................|mm.................
@@ -274,14 +274,14 @@ func ExampleCheckpointed() {
 	// 5 checkpoints per stage:       δ=325ms
 	// optimized without checkpoints: δ=435ms
 	// optimized with checkpoints:    δ=323ms
-	//   Acquire  {N0+3x/4c}
-	//   Estimate {N0+3x/4c}
-	//   Control  {N0+3x/4c}
-	//   Actuate  {N0+3x/4c}
+	//   Acquire  {N1+3x/4c}
+	//   Estimate {N1+3x/4c}
+	//   Control  {N1+3x/4c}
+	//   Actuate  {N1+3x/4c}
 }
 
 // restartGreedy is a caller-supplied engine: greedy improvement
-// alternated with short annealing runs, composed from built-in engines
+// alternated with annealing runs, composed from built-in engines
 // through the public Search handle, with no access to solver internals.
 type restartGreedy struct{ restarts int }
 
@@ -290,7 +290,7 @@ func (restartGreedy) Name() string { return "restart-greedy" }
 func (e restartGreedy) Explore(ctx context.Context, s *ftdse.Search) error {
 	var stages []ftdse.Engine
 	for i := 0; i < e.restarts; i++ {
-		stages = append(stages, ftdse.GreedyEngine{}, ftdse.SimulatedAnnealingEngine{Seed: int64(i + 1), Iterations: 40})
+		stages = append(stages, ftdse.GreedyEngine{}, ftdse.SimulatedAnnealingEngine{})
 	}
 	return ftdse.PipelineEngine{Stages: stages}.Explore(ctx, s)
 }
@@ -336,5 +336,5 @@ func ExampleEngine() {
 	// tabu            δ=392ms  60
 	// sa              δ=452ms  480
 	// portfolio       δ=392ms  540
-	// restart-greedy  δ=398ms  125
+	// restart-greedy  δ=386ms  1445
 }

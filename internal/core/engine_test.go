@@ -88,15 +88,11 @@ func TestEnginesProduceValidDesigns(t *testing.T) {
 func TestSimulatedAnnealingDeterministicPerSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	p := randomProblem(rng, 12, 3, 2)
-	a := solveWith(t, p, SimulatedAnnealingEngine{Seed: 5}, nil)
-	b := solveWith(t, p, SimulatedAnnealingEngine{Seed: 5}, nil)
+	seed5 := func(o *Options) { o.Seed = 5 }
+	a := solveWith(t, p, SimulatedAnnealingEngine{}, seed5)
+	b := solveWith(t, p, SimulatedAnnealingEngine{}, seed5)
 	if !reflect.DeepEqual(a.Assignment, b.Assignment) || a.Cost != b.Cost || a.Iterations != b.Iterations {
 		t.Fatalf("same seed diverged: %v/%d vs %v/%d", a.Cost, a.Iterations, b.Cost, b.Iterations)
-	}
-	// Options.Seed is the fallback when the engine carries no seed.
-	c := solveWith(t, p, SimulatedAnnealingEngine{}, func(o *Options) { o.Seed = 5 })
-	if !reflect.DeepEqual(a.Assignment, c.Assignment) || a.Cost != c.Cost {
-		t.Fatalf("Options.Seed fallback diverged from explicit engine seed")
 	}
 }
 

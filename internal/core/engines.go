@@ -81,10 +81,7 @@ func (TabuEngine) Explore(ctx context.Context, s *Search) error {
 	opts := s.Options()
 	origins := s.st.origins
 	n := len(origins)
-	tenure := opts.TabuTenure
-	if tenure <= 0 {
-		tenure = int(math.Sqrt(float64(n))) + 2
-	}
+	tenure := int(math.Sqrt(float64(n))) + 2 // iterations a moved process stays tabu
 	maxIters := opts.MaxIterations
 	if maxIters <= 0 {
 		maxIters = 50 + 10*n
@@ -213,20 +210,13 @@ func (TabuEngine) Explore(ctx context.Context, s *Search) error {
 // so no other step allocates. Costs, counters and sweep events are
 // those of one Evaluate per step over the Moves list.
 //
-// The zero value is ready to use: seed 1 (or Options.Seed when set)
-// and a size-derived iteration count. The start temperature is 5% of
-// the starting design's energy (at least 1) and cools by a factor of
-// 0.995 per step.
-type SimulatedAnnealingEngine struct {
-	// Seed seeds the random stream; 0 falls back to Options.Seed, then
-	// to the fixed seed 1, so the engine is deterministic either way.
-	Seed int64
-	// Iterations bounds the annealing steps; <= 0 derives a budget from
-	// Options.MaxIterations (or the problem size), scaled up because
-	// each SA step costs one scheduling pass where greedy and tabu
-	// sweep a whole neighborhood.
-	Iterations int
-}
+// The random stream is seeded by Options.Seed (0 selects the fixed seed
+// 1). The run takes 8× the iteration budget (Options.MaxIterations, or
+// the size-derived default) in steps, because each SA step costs one
+// scheduling pass where greedy and tabu sweep a whole neighborhood.
+// The start temperature is 5% of the starting design's energy (at
+// least 1) and cools by a factor of 0.995 per step.
+type SimulatedAnnealingEngine struct{}
 
 // saCooling is SA's per-step geometric cooling factor.
 const saCooling = 0.995
@@ -241,25 +231,19 @@ func saEnergy(c Cost) float64 {
 	return 1000*float64(c.Tardiness) + float64(c.Makespan)
 }
 
-func (e SimulatedAnnealingEngine) Explore(ctx context.Context, s *Search) error {
+func (SimulatedAnnealingEngine) Explore(ctx context.Context, s *Search) error {
 	opts := s.Options()
 	cur, sch, cost := s.Current()
 	if sch == nil {
 		return errors.New("core: sa engine needs an evaluated starting design")
 	}
 
-	iters := e.Iterations
+	iters := opts.MaxIterations
 	if iters <= 0 {
-		base := opts.MaxIterations
-		if base <= 0 {
-			base = 50 + 10*len(s.st.origins)
-		}
-		iters = 8 * base
+		iters = 50 + 10*len(s.st.origins)
 	}
-	seed := e.Seed
-	if seed == 0 {
-		seed = opts.Seed
-	}
+	iters *= 8
+	seed := opts.Seed
 	if seed == 0 {
 		seed = 1
 	}

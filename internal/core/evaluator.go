@@ -254,15 +254,7 @@ func (ev *evaluator) evalMoves(ctx context.Context, base policy.Assignment, move
 	evaluated := make([]bool, len(moves))
 	sw := &sweep{base: base, moves: moves, pending: pending, out: out, evaluated: evaluated}
 	if workers := min(ev.workers, len(pending)); workers <= 1 {
-		es := ev.getScratch()
-		ev.primeScratch(es, base)
-		for _, i := range pending {
-			if stopped(ctx) {
-				break
-			}
-			ev.evalOne(es, sw, i)
-		}
-		ev.scratch.Put(es)
+		ev.worker(ctx, sw) // on the calling goroutine
 	} else {
 		var wg sync.WaitGroup
 		wg.Add(workers)

@@ -35,6 +35,10 @@ func (m Move) String() string {
 	return fmt.Sprintf("P%d→%v", m.proc, m.pol)
 }
 
+// maxCheckpoints caps the checkpoints per replica that checkpoint moves
+// consider (DESIGN.md §7).
+const maxCheckpoints = 4
+
 // hood is the move neighborhood of one process in a design (Section
 // 5.2, the transformations of Figure 8), kept as counts so that it can
 // be sized without building a move and its i-th move built alone, into
@@ -44,7 +48,7 @@ func (m Move) String() string {
 //     each free node (an allowed node no replica uses), in node order;
 //  2. checkpoint moves (extension), when checkpointing is enabled,
 //     k > 0 and the process is not forced to pure replication: one
-//     checkpoint more (below the bound) and then one fewer (above
+//     checkpoint more (below maxCheckpoints) and then one fewer (above
 //     zero) on each replica that re-executes;
 //  3. for a process free to change its policy, with k > 0 and fewer
 //     than k+1 replicas: add a replica on each free node, re-spreading
@@ -63,7 +67,6 @@ type hood struct {
 	first   int  // the first replica a remap or drop may touch: 1 when pinned
 	free    int  // allowed nodes no replica uses
 	ckpt    bool // checkpoint moves are on
-	maxCk   int
 	reshape bool // add- and drop-replica moves are on
 	size    int
 }
@@ -85,11 +88,7 @@ func (st *searchState) hoodOf(d policy.Assignment, id model.ProcID) (h hood, ok 
 		row:     st.p.WCET.Row(id),
 		k:       k,
 		ckpt:    st.opts.EnableCheckpointing && k > 0 && freedom != freeRepl,
-		maxCk:   st.opts.MaxCheckpoints,
 		reshape: freedom == freeAny && k > 0,
-	}
-	if h.maxCk <= 0 {
-		h.maxCk = 4
 	}
 	if _, pinned := st.p.FixedMapping[id]; pinned {
 		h.first = 1
@@ -136,7 +135,7 @@ func (h *hood) checkpointMoves(rep policy.Replica) (up, down bool) {
 	if !h.ckpt || rep.Reexec == 0 {
 		return false, false
 	}
-	return rep.Checkpoints < h.maxCk, rep.Checkpoints > 0
+	return rep.Checkpoints < maxCheckpoints, rep.Checkpoints > 0
 }
 
 // build writes the replicas of move i (0 <= i < size) into dst's

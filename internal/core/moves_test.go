@@ -49,16 +49,12 @@ func referenceMoves(st *searchState, asgn policy.Assignment, procs []model.ProcI
 		}
 
 		if st.opts.EnableCheckpointing && k > 0 && freedom != freeRepl {
-			maxCk := st.opts.MaxCheckpoints
-			if maxCk <= 0 {
-				maxCk = 4
-			}
 			for ri := range cur.Replicas {
 				rep := cur.Replicas[ri]
 				if rep.Reexec == 0 {
 					continue
 				}
-				if rep.Checkpoints < maxCk {
+				if rep.Checkpoints < 4 {
 					pol := cur.Clone()
 					pol.Replicas[ri].Checkpoints++
 					appendMove(pol)
@@ -144,7 +140,6 @@ func neighborhoodCase(t *testing.T, rng *rand.Rand) (*searchState, Problem) {
 	p.App = app
 	opts := DefaultOptions([]Strategy{MXR, MX, MR, SFX, NFT}[rng.Intn(5)])
 	opts.EnableCheckpointing = rng.Intn(2) == 0
-	opts.MaxCheckpoints = []int{0, 1, 2, 5}[rng.Intn(4)]
 	st, err := newSearchState(p, opts)
 	if err != nil {
 		t.Fatal(err)

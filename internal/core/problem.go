@@ -131,10 +131,6 @@ func (p Problem) freedomOf(id model.ProcID, strat Strategy) policyFreedom {
 	}
 }
 
-// reexecCount is the number of re-executions a pure re-execution policy
-// needs under this problem's fault model.
-func (p Problem) reexecCount() int { return p.Faults.K }
-
 // mergedGraph builds the merged application graph Γ.
 func (p Problem) mergedGraph() (*model.Graph, error) {
 	return p.App.Merge()

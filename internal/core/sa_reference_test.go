@@ -19,14 +19,13 @@ import (
 // referenceSA is the simulated-annealing loop as it was before SA got a
 // proposal path of its own, written against the public Search API only:
 // one Evaluate per step, and Materialize, ApplyTo and Publish on every
-// accepted move. Its step budget, seed fallback, start temperature,
-// cooling factor and energy are SimulatedAnnealingEngine's documented
-// ones.
-type referenceSA struct{ seed int64 }
+// accepted move. Its step budget, seed, start temperature, cooling
+// factor and energy are SimulatedAnnealingEngine's documented ones.
+type referenceSA struct{}
 
 func (referenceSA) Name() string { return "sa" }
 
-func (e referenceSA) Explore(ctx context.Context, s *core.Search) error {
+func (referenceSA) Explore(ctx context.Context, s *core.Search) error {
 	opts := s.Options()
 	cur, sch, cost := s.Current()
 	if sch == nil {
@@ -37,10 +36,7 @@ func (e referenceSA) Explore(ctx context.Context, s *core.Search) error {
 		base = 50 + 10*len(s.Origins())
 	}
 	iters := 8 * base
-	seed := e.seed
-	if seed == 0 {
-		seed = opts.Seed
-	}
+	seed := opts.Seed
 	if seed == 0 {
 		seed = 1
 	}

@@ -76,10 +76,6 @@ type Options struct {
 	// minimizing the schedule length, as the evaluation experiments do.
 	StopWhenSchedulable bool
 
-	// TabuTenure is the number of iterations a moved process stays tabu;
-	// <= 0 selects a size-dependent default.
-	TabuTenure int
-
 	// SlackSharing toggles the shared re-execution slack (ablation).
 	// The default (via DefaultOptions) is on.
 	SlackSharing bool
@@ -101,14 +97,12 @@ type Options struct {
 	OptimizeBusAccess bool
 
 	// EnableCheckpointing adds checkpoint-count moves to the search:
-	// re-executed replicas may take up to MaxCheckpoints state-saving
-	// points (cost χ each, from the fault model) so a fault re-executes
-	// only the hit segment. This is the reproduction's documented
-	// extension beyond the paper (DESIGN.md §7); it is off by default.
+	// re-executed replicas may take up to maxCheckpoints (4)
+	// state-saving points (cost χ each, from the fault model) so a fault
+	// re-executes only the hit segment. This is the reproduction's
+	// documented extension beyond the paper (DESIGN.md §7); it is off by
+	// default.
 	EnableCheckpointing bool
-
-	// MaxCheckpoints caps the checkpoints per replica; <= 0 selects 4.
-	MaxCheckpoints int
 
 	// WarmStart, when non-empty, seeds the search with a previously
 	// found design: it is evaluated right after the initial solution and

@@ -53,8 +53,10 @@ func Render(s *sched.Schedule, width int) string {
 		ruler[i] = ' '
 	}
 	for t := model.Time(0); t <= horizon; t += horizon / 4 {
-		pos := scale(t)
 		lbl := t.String()
+		// A label that would run past the chart (the horizon's) ends at
+		// its right edge instead.
+		pos := max(min(scale(t), chartW-len(lbl)), 0)
 		for i := 0; i < len(lbl) && pos+i < chartW; i++ {
 			ruler[pos+i] = lbl[i]
 		}

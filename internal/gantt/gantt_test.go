@@ -61,6 +61,11 @@ func TestRender(t *testing.T) {
 	if !strings.Contains(lines[3], "m") {
 		t.Errorf("bus row missing transmission:\n%s", out)
 	}
+	// The ruler ends with the whole horizon label, right-aligned.
+	horizon := max(s.Makespan, s.Bus().Horizon())
+	if !strings.HasSuffix(lines[0], " "+horizon.String()) {
+		t.Errorf("ruler does not end with the horizon %v:\n%s", horizon, out)
+	}
 	// Narrow widths are clamped, not crashed.
 	if small := Render(s, 1); small == "" {
 		t.Error("narrow render empty")

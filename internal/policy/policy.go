@@ -143,7 +143,7 @@ func (p Policy) String() string {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "N%d", r.Node)
+		fmt.Fprintf(&b, "N%d", r.Node+1) // nodes are named from N1 (arch.New)
 		if r.Reexec > 0 {
 			fmt.Fprintf(&b, "+%dx", r.Reexec)
 		}

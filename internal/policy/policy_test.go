@@ -128,7 +128,7 @@ func TestPolicyHelpers(t *testing.T) {
 	if p.Equal(q) {
 		t.Error("Clone must be deep")
 	}
-	if s := Reexecution(0, 2).String(); s != "{N0+2x}" {
+	if s := Reexecution(0, 2).String(); s != "{N1+2x}" {
 		t.Errorf("String = %q", s)
 	}
 }
@@ -263,7 +263,7 @@ func TestCheckpointedPolicy(t *testing.T) {
 	if p.Replicas[0].Checkpoints != 3 {
 		t.Errorf("checkpoints = %d, want 3", p.Replicas[0].Checkpoints)
 	}
-	if s := p.String(); s != "{N1+2x/3c}" {
+	if s := p.String(); s != "{N2+2x/3c}" {
 		t.Errorf("String = %q", s)
 	}
 	w := testWCET(1, 2)

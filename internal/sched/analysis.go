@@ -343,7 +343,3 @@ func (nt *nodeTimeline) reset(mu model.Time, sharing bool) {
 	nt.last = NoInst
 	nt.sharing = sharing
 }
-
-// nominalCursor returns the fault-free completion time of the last
-// instance placed on the node (0 when empty).
-func (nt *nodeTimeline) nominalCursor() model.Time { return nt.nominal }

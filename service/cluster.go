@@ -60,7 +60,7 @@ func (s *Service) clusterNode() string {
 func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	depth := len(s.pending)
-	draining := s.draining || s.closed
+	draining := s.draining
 	s.mu.Unlock()
 	st := ReadyStatus{
 		Ready:          !draining && depth < s.cfg.QueueSize,

@@ -113,14 +113,13 @@ type Service struct {
 	log     *slog.Logger
 	cluster clusterState // node-mode identity (set by registration)
 
-	mu       sync.Mutex // guards pending, jobs, inflight, retired, closed
+	mu       sync.Mutex // guards pending, jobs, inflight, retired, draining
 	workCond *sync.Cond // signaled on new pending work and on Close
 	pending  []*job     // the job queue, oldest first (bounded by cfg.QueueSize)
 	jobs     map[string]*job
 	inflight map[string]*job // fingerprint → non-terminal solve (coalescing)
 	retired  []string        // terminal job ids, oldest first
-	closed   bool
-	draining bool
+	draining bool            // set by Close, never cleared
 
 	nextID uint64
 	wg     sync.WaitGroup
@@ -167,8 +166,7 @@ func (s *Service) queueDepth() int {
 func (s *Service) Close(ctx context.Context) error {
 	s.mu.Lock()
 	var never []*job
-	if !s.closed {
-		s.closed = true
+	if !s.draining {
 		s.draining = true
 		never, s.pending = s.pending, nil
 	}
@@ -201,7 +199,7 @@ func (s *Service) worker() {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
-		for len(s.pending) == 0 && !s.closed {
+		for len(s.pending) == 0 && !s.draining {
 			s.workCond.Wait()
 		}
 		if len(s.pending) == 0 {
@@ -434,7 +432,7 @@ type prepared struct {
 func (s *Service) enqueue(reqs []prepared) ([]*job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.draining {
+	if s.draining {
 		return nil, &submitErr{code: http.StatusServiceUnavailable, err: errDraining}
 	}
 	// Pass 1: cache and in-flight lookups and the queue-capacity check

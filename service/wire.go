@@ -47,17 +47,14 @@ type SolveOptions struct {
 	// BusOptimization enables the final TDMA slot-order hill climbing.
 	BusOptimization bool `json:"bus_optimization,omitempty"`
 	// Checkpointing enables checkpoint-count moves (the reproduction's
-	// extension); MaxCheckpoints caps checkpoints per replica.
-	Checkpointing  bool `json:"checkpointing,omitempty"`
-	MaxCheckpoints int  `json:"max_checkpoints,omitempty"`
+	// extension), at most 4 checkpoints per replica.
+	Checkpointing bool `json:"checkpointing,omitempty"`
 	// StopWhenSchedulable stops at the first design meeting all
 	// deadlines instead of minimizing the schedule length.
 	StopWhenSchedulable bool `json:"stop_when_schedulable,omitempty"`
 	// SlackSharing toggles the shared re-execution slack; nil means the
 	// default (on).
 	SlackSharing *bool `json:"slack_sharing,omitempty"`
-	// TabuTenure sets the tabu tenure; <= 0 selects the default.
-	TabuTenure int `json:"tabu_tenure,omitempty"`
 	// FlightRecorder enables the search flight recorder: the JobResult
 	// then carries the run's trace as a JSONL document (render with
 	// fttrace). Part of the fingerprint — a traced job never coalesces
@@ -105,12 +102,6 @@ func (o SolveOptions) normalized() (SolveOptions, error) {
 	if o.Workers < 0 {
 		o.Workers = 0
 	}
-	if o.MaxCheckpoints < 0 {
-		o.MaxCheckpoints = 0
-	}
-	if o.TabuTenure < 0 {
-		o.TabuTenure = 0
-	}
 	if o.SlackSharing == nil {
 		on := true
 		o.SlackSharing = &on
@@ -136,10 +127,8 @@ func (o SolveOptions) solverOptions() []ftdse.Option {
 		ftdse.WithWorkers(o.Workers),
 		ftdse.WithBusOptimization(o.BusOptimization),
 		ftdse.WithCheckpointing(o.Checkpointing),
-		ftdse.WithMaxCheckpoints(o.MaxCheckpoints),
 		ftdse.WithStopWhenSchedulable(o.StopWhenSchedulable),
 		ftdse.WithSlackSharing(*o.SlackSharing),
-		ftdse.WithTabuTenure(o.TabuTenure),
 	}
 	if o.FlightRecorder {
 		out = append(out, ftdse.WithFlightRecorder(ftdse.DefaultFlightRecorderEvents))
@@ -171,11 +160,12 @@ func (o SolveOptions) canonical() string {
 	// The limit is keyed at full nanosecond resolution: a sub-microsecond
 	// TimeLimitMs is still a real (immediately truncating) budget and
 	// must never collide with the untimed request's key.
+	// maxckpt=0 and tenure=0 name fixed defaults, kept so existing keys stay valid.
 	return fmt.Sprintf(
-		"strategy=%s;engine=%s;seed=%d;iters=%d;limit_ns=%d;workers=%d;bus=%t;ckpt=%t;maxckpt=%d;stopsched=%t;slack=%t;tenure=%d;flight=%t",
+		"strategy=%s;engine=%s;seed=%d;iters=%d;limit_ns=%d;workers=%d;bus=%t;ckpt=%t;maxckpt=0;stopsched=%t;slack=%t;tenure=0;flight=%t",
 		o.Strategy, o.Engine, o.Seed, o.MaxIterations, o.timeLimit().Nanoseconds(), w,
-		o.BusOptimization, o.Checkpointing, o.MaxCheckpoints,
-		o.StopWhenSchedulable, *o.SlackSharing, o.TabuTenure, o.FlightRecorder)
+		o.BusOptimization, o.Checkpointing,
+		o.StopWhenSchedulable, *o.SlackSharing, o.FlightRecorder)
 }
 
 // SubmitRequest is the body of POST /solve: the problem document (the

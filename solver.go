@@ -75,7 +75,8 @@ func WithTimeLimit(d time.Duration) Option {
 	return func(s *Solver) { s.opts.TimeLimit = d }
 }
 
-// WithMaxIterations bounds the tabu-search iterations; <= 0 selects a
+// WithMaxIterations bounds the tabu-search iterations (simulated
+// annealing takes 8× as many steps); <= 0 selects a
 // problem-size-dependent default.
 func WithMaxIterations(n int) Option {
 	return func(s *Solver) { s.opts.MaxIterations = n }
@@ -98,17 +99,11 @@ func WithBusOptimization(on bool) Option {
 
 // WithCheckpointing toggles checkpoint-count moves, the reproduction's
 // documented extension beyond the paper: re-executed replicas may save
-// state at up to WithMaxCheckpoints points (cost χ each, from
+// state at up to 4 points (cost χ each, from
 // ProblemBuilder.CheckpointCost) so a fault re-executes only the hit
 // segment.
 func WithCheckpointing(on bool) Option {
 	return func(s *Solver) { s.opts.EnableCheckpointing = on }
-}
-
-// WithMaxCheckpoints caps the checkpoints per replica considered by
-// WithCheckpointing; <= 0 selects 4.
-func WithMaxCheckpoints(n int) Option {
-	return func(s *Solver) { s.opts.MaxCheckpoints = n }
 }
 
 // WithStopWhenSchedulable stops at the first design meeting all
@@ -122,12 +117,6 @@ func WithStopWhenSchedulable(on bool) Option {
 // schedule analysis (on by default; disable for ablations).
 func WithSlackSharing(on bool) Option {
 	return func(s *Solver) { s.opts.SlackSharing = on }
-}
-
-// WithTabuTenure sets the number of iterations a moved process stays
-// tabu; <= 0 selects a problem-size-dependent default.
-func WithTabuTenure(n int) Option {
-	return func(s *Solver) { s.opts.TabuTenure = n }
 }
 
 // WithProgress registers an observer that is called synchronously from
