@@ -86,10 +86,10 @@ func TestProblemBuilder(t *testing.T) {
 	if res.Design[p1.ID].Replicas[0].Node != 1 {
 		t.Errorf("P1 pinned to node 1, mapped to %v", res.Design[p1.ID])
 	}
-	if res.Design[p2.ID].ReplicaCount() != 1 {
+	if len(res.Design[p2.ID].Replicas) != 1 {
 		t.Errorf("P2 forced to re-execution, got %v", res.Design[p2.ID])
 	}
-	if res.Design[p3.ID].ReplicaCount() != 2 {
+	if len(res.Design[p3.ID].Replicas) != 2 {
 		t.Errorf("P3 forced to replication, got %v", res.Design[p3.ID])
 	}
 }

@@ -3,6 +3,7 @@ package ftdse_test
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 
 	"repro/ftdse"
@@ -41,6 +42,8 @@ func FuzzReadProblem(f *testing.F) {
 	for _, seed := range fuzzProblemSeeds(f) {
 		f.Add(seed)
 	}
+	f.Add([]byte(everyFieldDoc))
+	f.Add([]byte(strings.Replace(everyFieldDoc, `"mu_ms": 1.5`, `"mu_ms": 1.5, "chi_ms": 0.75`, 1)))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"application":{},"architecture":[],"wcet_ms":{},"faults":{"k":0,"mu_ms":0}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {

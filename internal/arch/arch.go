@@ -14,9 +14,6 @@ import (
 // NodeID identifies a computation node. IDs are dense, starting at 0.
 type NodeID int
 
-// NoNode is the zero-value sentinel for "no node".
-const NoNode NodeID = -1
-
 // Node is one computation node of the architecture.
 type Node struct {
 	ID   NodeID

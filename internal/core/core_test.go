@@ -99,7 +99,7 @@ func TestOptimizeProducesValidDesigns(t *testing.T) {
 				}
 				switch s {
 				case MX, SFX, NFT:
-					if pol.ReplicaCount() != 1 {
+					if len(pol.Replicas) != 1 {
 						t.Errorf("%v must not replicate, got %v", s, pol)
 					}
 				case MR:
@@ -107,7 +107,7 @@ func TestOptimizeProducesValidDesigns(t *testing.T) {
 					if n := p.Arch.NumNodes(); n < want {
 						want = n
 					}
-					if pol.ReplicaCount() != want {
+					if len(pol.Replicas) != want {
 						t.Errorf("MR must use min(k+1, nodes) replicas, got %v", pol)
 					}
 				}
@@ -306,10 +306,10 @@ func TestForcedPoliciesRespected(t *testing.T) {
 	p.ForceReexecution = map[model.ProcID]bool{ids[0].ID: true}
 	p.ForceReplication = map[model.ProcID]bool{ids[1].ID: true}
 	res := optimize(t, p, MXR)
-	if res.Assignment[ids[0].ID].ReplicaCount() != 1 {
+	if len(res.Assignment[ids[0].ID].Replicas) != 1 {
 		t.Errorf("P_X process replicated: %v", res.Assignment[ids[0].ID])
 	}
-	if res.Assignment[ids[1].ID].ReplicaCount() != p.Faults.K+1 {
+	if len(res.Assignment[ids[1].ID].Replicas) != p.Faults.K+1 {
 		t.Errorf("P_R process not fully replicated: %v", res.Assignment[ids[1].ID])
 	}
 }
@@ -333,7 +333,7 @@ func TestGenerateMoves(t *testing.T) {
 	}
 	seenRemap, seenAdd := false, false
 	for _, m := range moves {
-		switch m.pol.ReplicaCount() {
+		switch len(m.pol.Replicas) {
 		case 1:
 			if m.pol.Replicas[0].Node == 1 {
 				seenRemap = true
@@ -351,7 +351,7 @@ func TestGenerateMoves(t *testing.T) {
 	asgn[ids[0].ID] = policy.Replication(0, 1)
 	moves = st.generateMoves(asgn, []model.ProcID{ids[0].ID})
 	for _, m := range moves {
-		if m.pol.ReplicaCount() > 2 {
+		if len(m.pol.Replicas) > 2 {
 			t.Errorf("unexpected replica addition: %v", m)
 		}
 	}
@@ -360,7 +360,7 @@ func TestGenerateMoves(t *testing.T) {
 	stMX, _ := newSearchState(p, DefaultOptions(MX))
 	asgn[ids[0].ID] = policy.Reexecution(0, 1)
 	for _, m := range stMX.generateMoves(asgn, []model.ProcID{ids[0].ID}) {
-		if m.pol.ReplicaCount() != 1 {
+		if len(m.pol.Replicas) != 1 {
 			t.Errorf("MX generated policy move: %v", m)
 		}
 	}
@@ -419,7 +419,7 @@ func TestMRFallsBackToMaximalReplication(t *testing.T) {
 	p := diamondProblem(t, 2, 0)
 	res := optimize(t, p, MR)
 	for id, pol := range res.Assignment {
-		if pol.ReplicaCount() != 2 {
+		if len(pol.Replicas) != 2 {
 			t.Errorf("process %d: want 2 replicas, got %v", id, pol)
 		}
 		if pol.Executions() != 3 {

@@ -1,5 +1,5 @@
-// Package dot exports application graphs and synthesized fault-tolerant
-// designs in Graphviz DOT format, for documentation and debugging.
+// Package dot exports synthesized fault-tolerant designs in Graphviz DOT
+// format, for documentation and debugging.
 package dot
 
 import (
@@ -7,34 +7,9 @@ import (
 	"io"
 	"strings"
 
-	"repro/ftdse/internal/model"
 	"repro/ftdse/internal/policy"
 	"repro/ftdse/internal/sched"
 )
-
-// WriteGraph emits a process graph: processes as nodes (annotated with
-// release/deadline when set) and messages as labelled edges.
-func WriteGraph(w io.Writer, g *model.Graph) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n", sanitize(g.Name))
-	b.WriteString("  rankdir=TB;\n  node [shape=box, fontname=\"Helvetica\"];\n")
-	for _, p := range g.Processes() {
-		label := p.Name
-		if p.Release > 0 {
-			label += fmt.Sprintf("\\nrelease %v", p.Release)
-		}
-		if p.Deadline > 0 {
-			label += fmt.Sprintf("\\ndeadline %v", p.Deadline)
-		}
-		fmt.Fprintf(&b, "  p%d [label=\"%s\"];\n", p.ID, label)
-	}
-	for _, e := range g.Edges() {
-		fmt.Fprintf(&b, "  p%d -> p%d [label=\"%dB\"];\n", e.Src, e.Dst, e.Bytes)
-	}
-	b.WriteString("}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
 
 // WriteDesign emits a synthesized design: one cluster per node holding
 // the replica instances in schedule order (annotated with their policy

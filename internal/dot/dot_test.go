@@ -13,7 +13,7 @@ import (
 	"repro/ftdse/internal/ttp"
 )
 
-func buildSystem(t *testing.T) (*model.Graph, *sched.Schedule) {
+func buildSystem(t *testing.T) *sched.Schedule {
 	t.Helper()
 	app := model.NewApplication("dot test")
 	g := app.AddGraph("G", model.Ms(1000), model.Ms(400))
@@ -47,25 +47,11 @@ func buildSystem(t *testing.T) (*model.Graph, *sched.Schedule) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return merged, s
-}
-
-func TestWriteGraph(t *testing.T) {
-	g, _ := buildSystem(t)
-	var buf bytes.Buffer
-	if err := WriteGraph(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"digraph", "P1", "P2", "3B", "release 5ms", "deadline", "->"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("graph dot missing %q:\n%s", want, out)
-		}
-	}
+	return s
 }
 
 func TestWriteDesign(t *testing.T) {
-	_, s := buildSystem(t)
+	s := buildSystem(t)
 	var buf bytes.Buffer
 	if err := WriteDesign(&buf, s); err != nil {
 		t.Fatal(err)

@@ -64,14 +64,14 @@ func TestCandidatePoliciesConstraints(t *testing.T) {
 
 	p.ForceReexecution = map[model.ProcID]bool{id: true}
 	for _, c := range candidatePolicies(p, id) {
-		if c.ReplicaCount() != 1 {
+		if len(c.Replicas) != 1 {
 			t.Errorf("P_X candidate %v not pure re-execution", c)
 		}
 	}
 	p.ForceReexecution = nil
 	p.ForceReplication = map[model.ProcID]bool{id: true}
 	for _, c := range candidatePolicies(p, id) {
-		if c.ReplicaCount() != 2 {
+		if len(c.Replicas) != 2 {
 			t.Errorf("P_R candidate %v not k+1 replicas", c)
 		}
 	}

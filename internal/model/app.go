@@ -79,16 +79,6 @@ func (a *Application) Process(id ProcID) *Process {
 	return nil
 }
 
-// GraphOf returns the graph owning the given process, or nil.
-func (a *Application) GraphOf(id ProcID) *Graph {
-	for _, g := range a.graphs {
-		if g.Process(id) != nil {
-			return g
-		}
-	}
-	return nil
-}
-
 // Validate checks every graph and the cross-graph ID uniqueness.
 func (a *Application) Validate() error {
 	if len(a.graphs) == 0 {

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -85,36 +84,6 @@ func (g *Graph) Successors(p ProcID) []Arc { return g.Adjacency().Successors(p) 
 
 // Predecessors returns the incoming edges of p in edge order.
 func (g *Graph) Predecessors(p ProcID) []Arc { return g.Adjacency().Predecessors(p) }
-
-// Sources returns the processes without predecessors, ordered by ID.
-func (g *Graph) Sources() []*Process {
-	a := g.Adjacency()
-	var out []*Process
-	for _, p := range g.procs {
-		if len(a.Predecessors(p.ID)) == 0 {
-			out = append(out, p)
-		}
-	}
-	sortProcs(out)
-	return out
-}
-
-// Sinks returns the processes without successors, ordered by ID.
-func (g *Graph) Sinks() []*Process {
-	a := g.Adjacency()
-	var out []*Process
-	for _, p := range g.procs {
-		if len(a.Successors(p.ID)) == 0 {
-			out = append(out, p)
-		}
-	}
-	sortProcs(out)
-	return out
-}
-
-func sortProcs(ps []*Process) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].ID < ps[j].ID })
-}
 
 // TopologicalOrder returns the processes in a deterministic topological
 // order (Kahn's algorithm with smallest-ID-first tie breaking). It
@@ -209,6 +178,3 @@ func (g *Graph) MaxMessageBytes() int {
 	}
 	return maxB
 }
-
-// ErrNotDAG is returned by validation helpers when a cycle is detected.
-var ErrNotDAG = errors.New("model: graph is not acyclic")

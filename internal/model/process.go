@@ -7,9 +7,6 @@ import "fmt"
 // creation order.
 type ProcID int
 
-// NoProc is the zero-value sentinel for "no process".
-const NoProc ProcID = -1
-
 // Process is one vertex of a process graph. A process is activated after
 // all of its inputs have arrived and issues its outputs when it
 // terminates (Section 3 of the paper). Worst-case execution times are

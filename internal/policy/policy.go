@@ -14,8 +14,8 @@
 package policy
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/ftdse/internal/arch"
@@ -56,9 +56,6 @@ func (p Policy) Executions() int {
 	return n
 }
 
-// ReplicaCount returns the number of active replicas r.
-func (p Policy) ReplicaCount() int { return len(p.Replicas) }
-
 // Nodes returns the nodes used by the policy in replica order.
 func (p Policy) Nodes() []arch.NodeID {
 	out := make([]arch.NodeID, len(p.Replicas))
@@ -97,41 +94,34 @@ func (p Policy) Equal(q Policy) bool {
 	return true
 }
 
-// Canonical returns a copy with replicas sorted by node, which gives
-// policies a unique representation for hashing and comparison.
-func (p Policy) Canonical() Policy {
-	c := p.Clone()
-	sort.Slice(c.Replicas, func(i, j int) bool { return c.Replicas[i].Node < c.Replicas[j].Node })
-	return c
-}
-
 // Validate checks the policy against the fault budget k and the allowed
 // nodes of process proc: at least one replica, replicas on pairwise
 // distinct allowed nodes, non-negative re-execution counts, and enough
-// total executions to tolerate k faults.
+// total executions to tolerate k faults. Errors name nodes as String
+// does; Assignment.Validate adds the process name.
 func (p Policy) Validate(k int, w *arch.WCET, proc model.ProcID) error {
 	if len(p.Replicas) == 0 {
-		return fmt.Errorf("policy: process %d has no replicas", proc)
+		return errors.New("policy: no replicas")
 	}
 	seen := make(map[arch.NodeID]bool, len(p.Replicas))
 	for _, r := range p.Replicas {
 		if r.Reexec < 0 {
-			return fmt.Errorf("policy: process %d has negative re-execution count", proc)
+			return fmt.Errorf("policy: negative re-execution count on node N%d", r.Node+1)
 		}
 		if r.Checkpoints < 0 {
-			return fmt.Errorf("policy: process %d has negative checkpoint count", proc)
+			return fmt.Errorf("policy: negative checkpoint count on node N%d", r.Node+1)
 		}
 		if seen[r.Node] {
-			return fmt.Errorf("policy: process %d has two replicas on node %d", proc, r.Node)
+			return fmt.Errorf("policy: two replicas on node N%d", r.Node+1)
 		}
 		seen[r.Node] = true
 		if _, ok := w.Get(proc, r.Node); !ok {
-			return fmt.Errorf("policy: process %d cannot be mapped on node %d", proc, r.Node)
+			return fmt.Errorf("policy: cannot be mapped on node N%d", r.Node+1)
 		}
 	}
 	if p.Executions() < k+1 {
-		return fmt.Errorf("policy: process %d provides %d executions, need %d to tolerate %d faults",
-			proc, p.Executions(), k+1, k)
+		return fmt.Errorf("policy: %v provides %d executions, need %d to tolerate %d faults",
+			p, p.Executions(), k+1, k)
 	}
 	return nil
 }
@@ -236,10 +226,10 @@ func (a Assignment) Validate(g *model.Graph, w *arch.WCET, k int) error {
 	for _, proc := range g.Processes() {
 		p, ok := a[proc.Origin]
 		if !ok {
-			return fmt.Errorf("policy: process %s has no policy assigned", proc)
+			return fmt.Errorf("policy: process %s has no policy assigned", proc.Name)
 		}
 		if err := p.Validate(k, w, proc.Origin); err != nil {
-			return err
+			return fmt.Errorf("process %s: %w", proc.Name, err)
 		}
 	}
 	return nil

@@ -38,7 +38,7 @@ func TestExecutions(t *testing.T) {
 func TestDistribute(t *testing.T) {
 	// k=2 on two nodes: Figure 2c — replica 1 re-executed once, replica 2 not.
 	p := Distribute([]arch.NodeID{0, 1}, 2)
-	if p.ReplicaCount() != 2 || p.Executions() != 3 {
+	if len(p.Replicas) != 2 || p.Executions() != 3 {
 		t.Fatalf("Distribute = %v", p)
 	}
 	if p.Replicas[0].Reexec != 1 || p.Replicas[1].Reexec != 0 {
@@ -113,14 +113,10 @@ func TestPolicyHelpers(t *testing.T) {
 	if len(nodes) != 2 || nodes[0] != 2 || nodes[1] != 0 {
 		t.Errorf("Nodes = %v", nodes)
 	}
-	c := p.Canonical()
-	if c.Replicas[0].Node != 0 || c.Replicas[1].Node != 2 {
-		t.Errorf("Canonical = %v", c)
-	}
 	if !p.Equal(p.Clone()) {
 		t.Error("clone should be Equal")
 	}
-	if p.Equal(c) {
+	if p.Equal(Policy{Replicas: []Replica{p.Replicas[1], p.Replicas[0]}}) {
 		t.Error("different order should not be Equal")
 	}
 	q := p.Clone()
@@ -130,6 +126,28 @@ func TestPolicyHelpers(t *testing.T) {
 	}
 	if s := Reexecution(0, 2).String(); s != "{N1+2x}" {
 		t.Errorf("String = %q", s)
+	}
+}
+
+// TestValidateNamesLikeString: a rejected policy names its node as the
+// printed design does (from N1) and its process by name, not by the
+// zero-based IDs.
+func TestValidateNamesLikeString(t *testing.T) {
+	app := model.NewApplication("a")
+	g := app.AddGraph("G", model.Ms(100), model.Ms(100))
+	p := app.AddProcess(g, "Sensor")
+	merged, err := app.Merge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := Reexecution(1, 1)
+	if pol.String() != "{N2+1x}" {
+		t.Fatalf("String = %s, want {N2+1x}", pol)
+	}
+	err = Assignment{p.ID: pol}.Validate(merged, testWCET(1, 1), 1)
+	const want = "process Sensor: policy: cannot be mapped on node N2"
+	if err == nil || err.Error() != want {
+		t.Errorf("Validate = %v, want %q", err, want)
 	}
 }
 
@@ -257,7 +275,7 @@ func TestDistributeProperty(t *testing.T) {
 
 func TestCheckpointedPolicy(t *testing.T) {
 	p := Checkpointed(1, 2, 3)
-	if p.ReplicaCount() != 1 || p.Executions() != 3 {
+	if len(p.Replicas) != 1 || p.Executions() != 3 {
 		t.Fatalf("Checkpointed = %v", p)
 	}
 	if p.Replicas[0].Checkpoints != 3 {

@@ -116,11 +116,13 @@ func agree(t *testing.T, s *sched.Schedule, sc sim.Scenario) bool {
 	sort.Strings(bv)
 	if len(av) != len(bv) {
 		t.Logf("scenario %v: %d violations (sim) vs %d (rt)", sc, len(av), len(bv))
+		ok = false
 		return false
 	}
 	for i := range av {
 		if av[i] != bv[i] {
 			t.Logf("scenario %v: violation %q vs %q", sc, av[i], bv[i])
+			ok = false
 			return false
 		}
 	}
@@ -160,6 +162,15 @@ func TestCrossValidation(t *testing.T) {
 			}
 		}
 		_ = checked
+		// Beyond the hypothesis: every replica of one process fails, so
+		// the two must also report the same violations.
+		for _, p := range s.In.Graph.Processes() {
+			sc := sim.Scenario{}
+			for _, inst := range s.Ex.Of(p.ID) {
+				sc[inst.ID] = inst.Reexec + 1
+			}
+			agree(t, s, sc)
+		}
 	}
 }
 

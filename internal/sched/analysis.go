@@ -221,7 +221,7 @@ type placed struct {
 	prevInst    policy.InstID
 }
 
-// place appends an instance with guaranteed input-ready vector gr
+// placeRow appends an instance with guaranteed input-ready vector gr
 // (gr[f] = worst-case input readiness under at most f faults, len k+1),
 // nominal input-ready time nr, fault-free execution time b (the WCET
 // plus any checkpointing overhead), per-fault recovery cost d (plain
@@ -243,20 +243,13 @@ type placed struct {
 // re-executing the instance itself (g). Taking max(gr[h], busy[h])
 // rather than a sum is sound because both are monotone: any split
 // h1+h2 = h satisfies max(gr[h1], busy[h2]) ≤ max(gr[h], busy[h]).
-func (nt *nodeTimeline) place(id policy.InstID, gr []model.Time, nr, b, d model.Time, x int) placed {
-	return nt.placeRow(id, gr, nr, b, d, x, nil)
-}
-
-// placeRow is place with a caller-supplied survRow backing (len k+1,
-// fully overwritten); nil allocates one. Scratch builds pass arena rows
-// so placements allocate nothing.
+//
+// row backs the placement's survRow (len k+1, fully overwritten); builds
+// pass arena rows so placements allocate nothing.
 func (nt *nodeTimeline) placeRow(id policy.InstID, gr []model.Time, nr, b, d model.Time, x int, row []model.Time) placed {
 	k, mu := nt.k, nt.mu
 	if x > k {
 		x = k
-	}
-	if row == nil {
-		row = make([]model.Time, k+1)
 	}
 	res := placed{prevInst: nt.last, survRow: row}
 	res.nominalStart = model.MaxTime(nr, nt.nominal)

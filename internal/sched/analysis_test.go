@@ -151,11 +151,11 @@ func TestNodeTimelineSharedSlack(t *testing.T) {
 	// node-busy row reflects the same bound.
 	nt := newNodeTimeline(1, model.Ms(10), true)
 	gr := []model.Time{0, 0}
-	p1 := nt.place(0, gr, 0, model.Ms(40), model.Ms(50), 1)
+	p1 := nt.placeRow(0, gr, 0, model.Ms(40), model.Ms(50), 1, make([]model.Time, nt.k+1))
 	if p1.wcFinish != model.Ms(90) {
 		t.Errorf("P1 wcFinish = %v, want 90ms", p1.wcFinish)
 	}
-	p2 := nt.place(1, gr, p1.nominalFinish, model.Ms(40), model.Ms(50), 1)
+	p2 := nt.placeRow(1, gr, p1.nominalFinish, model.Ms(40), model.Ms(50), 1, make([]model.Time, nt.k+1))
 	if p2.wcFinish != model.Ms(130) {
 		t.Errorf("P2 wcFinish = %v, want 130ms (shared slack)", p2.wcFinish)
 	}
@@ -172,8 +172,8 @@ func TestNodeTimelinePrivateSlack(t *testing.T) {
 	// finishes at 40+50 + 40+50 = 180 in the analysis.
 	nt := newNodeTimeline(1, model.Ms(10), false)
 	gr := []model.Time{0, 0}
-	nt.place(0, gr, 0, model.Ms(40), model.Ms(50), 1)
-	p2 := nt.place(1, gr, model.Ms(40), model.Ms(40), model.Ms(50), 1)
+	nt.placeRow(0, gr, 0, model.Ms(40), model.Ms(50), 1, make([]model.Time, nt.k+1))
+	p2 := nt.placeRow(1, gr, model.Ms(40), model.Ms(40), model.Ms(50), 1, make([]model.Time, nt.k+1))
 	if p2.wcFinish != model.Ms(180) {
 		t.Errorf("P2 wcFinish = %v, want 180ms (private slack)", p2.wcFinish)
 	}
@@ -184,12 +184,12 @@ func TestNodeTimelineDieCase(t *testing.T) {
 	// for C+µ; a following process sees that in the busy row.
 	nt := newNodeTimeline(1, model.Ms(10), true)
 	gr := []model.Time{0, 0}
-	r := nt.place(0, gr, 0, model.Ms(40), model.Ms(50), 0)
+	r := nt.placeRow(0, gr, 0, model.Ms(40), model.Ms(50), 0, make([]model.Time, nt.k+1))
 	if r.wcFinish != model.Ms(40) {
 		t.Errorf("replica wcFinish = %v, want 40ms", r.wcFinish)
 	}
 	// busy[1] must include the die case 40+10 = 50.
-	p2 := nt.place(1, gr, model.Ms(40), model.Ms(20), model.Ms(30), 0)
+	p2 := nt.placeRow(1, gr, model.Ms(40), model.Ms(20), model.Ms(30), 0, make([]model.Time, nt.k+1))
 	if p2.wcFinish != model.Ms(70) {
 		t.Errorf("successor wcFinish = %v, want 70ms (50 busy + 20)", p2.wcFinish)
 	}
@@ -201,14 +201,14 @@ func TestNodeTimelineSendReady(t *testing.T) {
 	// re-execution (Figure 4a).
 	nt := newNodeTimeline(2, model.Ms(10), true)
 	gr := []model.Time{0, 0, 0}
-	first := nt.place(0, gr, 0, model.Ms(30), model.Ms(40), 2)
+	first := nt.placeRow(0, gr, 0, model.Ms(30), model.Ms(40), 2, make([]model.Time, nt.k+1))
 	if first.sendReady != first.wcFinish || first.sendReady != model.Ms(110) {
 		t.Errorf("re-executed process sendReady = %v, want 110ms = wcFinish", first.sendReady)
 	}
 	// A replica (x=0) following it transmits after its zero-node-fault
 	// window (30+20 = 50), NOT after the full-budget worst case 130:
 	// its delivery is covered by charging the adversary one fault.
-	rep := nt.place(1, gr, model.Ms(30), model.Ms(20), model.Ms(30), 0)
+	rep := nt.placeRow(1, gr, model.Ms(30), model.Ms(20), model.Ms(30), 0, make([]model.Time, nt.k+1))
 	if rep.sendReady != model.Ms(50) {
 		t.Errorf("replica sendReady = %v, want 50ms", rep.sendReady)
 	}
@@ -235,7 +235,7 @@ func TestNodeTimelineMonotoneProperty(t *testing.T) {
 			}
 			c := model.Ms(int64(10 + rng.Intn(50)))
 			x := rng.Intn(k + 1)
-			pl := nt.place(policy.InstID(i), gr, ready, c, c+nt.mu, x)
+			pl := nt.placeRow(policy.InstID(i), gr, ready, c, c+nt.mu, x, make([]model.Time, nt.k+1))
 			for f := 1; f <= k; f++ {
 				if pl.survRow[f] < pl.survRow[f-1] {
 					return false

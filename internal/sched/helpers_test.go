@@ -85,7 +85,7 @@ func (s *sys) mergedID(t *testing.T, name string) model.ProcID {
 		}
 	}
 	t.Fatalf("no merged instance of %q", name)
-	return model.NoProc
+	return -1
 }
 
 // mustBuild builds the schedule or fails the test.

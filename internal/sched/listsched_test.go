@@ -178,7 +178,7 @@ func checkScheduleInvariants(t *testing.T, s *Schedule) bool {
 	var maxDone model.Time
 	for _, p := range in.Graph.Processes() {
 		done := s.ProcCompletion(p.ID)
-		nom := s.ProcNominalCompletion(p.ID)
+		nom := s.proc(p.ID).nominal
 		if done < nom {
 			t.Logf("proc %v guaranteed %v before nominal %v", p, done, nom)
 			return false

@@ -175,11 +175,6 @@ func (s *Schedule) ProcCompletion(id model.ProcID) model.Time {
 	return s.proc(id).guaranteed
 }
 
-// ProcNominalCompletion returns the fault-free first completion time.
-func (s *Schedule) ProcNominalCompletion(id model.ProcID) model.Time {
-	return s.proc(id).nominal
-}
-
 // proc returns the completion analysis of a merged-graph process; the
 // zero record (not placed) for an ID outside the graph.
 func (s *Schedule) proc(id model.ProcID) procResult {

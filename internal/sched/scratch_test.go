@@ -145,8 +145,7 @@ func TestBuildIntoMatchesBuild(t *testing.T) {
 				}
 			}
 			for _, p := range in.Graph.Processes() {
-				if fresh.ProcCompletion(p.ID) != reused.ProcCompletion(p.ID) ||
-					fresh.ProcNominalCompletion(p.ID) != reused.ProcNominalCompletion(p.ID) {
+				if fresh.proc(p.ID) != reused.proc(p.ID) {
 					t.Fatalf("round %d: completion of %v differs", round, p)
 				}
 			}

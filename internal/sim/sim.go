@@ -35,15 +35,6 @@ import (
 // of each attempt).
 type Scenario map[policy.InstID]int
 
-// TotalFaults returns the number of faults in the scenario.
-func (sc Scenario) TotalFaults() int {
-	n := 0
-	for _, f := range sc {
-		n += f
-	}
-	return n
-}
-
 // Result is the outcome of one simulated operation cycle.
 type Result struct {
 	// Finish is the completion time of every surviving instance.

@@ -76,14 +76,9 @@ func WriteCheckpoint(w io.Writer, d CheckpointDoc) error {
 // accepts re-serializes with WriteCheckpoint to the canonical form and
 // is stable under further round trips.
 func ReadCheckpoint(r io.Reader) (CheckpointDoc, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var d CheckpointDoc
-	if err := dec.Decode(&d); err != nil {
+	if err := decodeStrict(r, &d); err != nil {
 		return CheckpointDoc{}, fmt.Errorf("sysio: parsing checkpoint: %w", err)
-	}
-	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		return CheckpointDoc{}, errors.New("sysio: trailing content after checkpoint document")
 	}
 	if err := d.validate(); err != nil {
 		return CheckpointDoc{}, fmt.Errorf("sysio: invalid checkpoint: %w", err)

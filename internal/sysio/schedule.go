@@ -2,7 +2,6 @@ package sysio
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 
@@ -118,14 +117,9 @@ func WriteScheduleDoc(w io.Writer, d ScheduleDoc) error {
 // ReadSchedule accepts re-serializes with WriteScheduleDoc to the
 // canonical form and is stable under further round trips.
 func ReadSchedule(r io.Reader) (ScheduleDoc, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var d ScheduleDoc
-	if err := dec.Decode(&d); err != nil {
+	if err := decodeStrict(r, &d); err != nil {
 		return ScheduleDoc{}, fmt.Errorf("sysio: parsing schedule: %w", err)
-	}
-	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		return ScheduleDoc{}, errors.New("sysio: trailing content after schedule document")
 	}
 	if err := d.validate(); err != nil {
 		return ScheduleDoc{}, fmt.Errorf("sysio: invalid schedule: %w", err)

@@ -1,12 +1,13 @@
-// Package sysio serializes complete design-optimization problems —
+// Package sysio owns every JSON document of the system: the problem —
 // application, architecture, WCET table, fault model and designer
-// constraints — to a single human-editable JSON document, used by the
-// command-line tools.
+// constraints in one human-editable document, the input of the
+// command-line tools and the solve service's wire payload — and the
+// schedule, checkpoint and trace exports.
 package sysio
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -18,10 +19,13 @@ import (
 	"repro/ftdse/internal/model"
 )
 
+// The problem document references processes by name, which keeps files
+// human-editable; IDs are (re)assigned on load. All times are given in
+// milliseconds and may be fractional down to one microsecond.
 //
 //ftdse:wire
 type problemJSON struct {
-	Application      json.RawMessage               `json:"application"`
+	Application      appJSON                       `json:"application"`
 	Architecture     []string                      `json:"architecture"`
 	WCETMs           map[string]map[string]float64 `json:"wcet_ms"`
 	Faults           faultJSON                     `json:"faults"`
@@ -33,8 +37,53 @@ type problemJSON struct {
 //
 //ftdse:wire
 type faultJSON struct {
-	K    int     `json:"k"`
-	MuMs float64 `json:"mu_ms"`
+	K     int     `json:"k"`
+	MuMs  float64 `json:"mu_ms"`
+	ChiMs float64 `json:"chi_ms,omitempty"`
+}
+
+type appJSON struct {
+	Name   string      `json:"name"`
+	Graphs []graphJSON `json:"graphs"`
+}
+
+type graphJSON struct {
+	Name       string     `json:"name"`
+	PeriodMs   float64    `json:"period_ms"`
+	DeadlineMs float64    `json:"deadline_ms,omitempty"`
+	Processes  []procJSON `json:"processes"`
+	Edges      []edgeJSON `json:"edges"`
+}
+
+type procJSON struct {
+	Name       string  `json:"name"`
+	ReleaseMs  float64 `json:"release_ms,omitempty"`
+	DeadlineMs float64 `json:"deadline_ms,omitempty"`
+}
+
+type edgeJSON struct {
+	Src   string `json:"src"`
+	Dst   string `json:"dst"`
+	Bytes int    `json:"bytes"`
+}
+
+func msToTime(ms float64) model.Time {
+	return model.Time(math.Round(ms * float64(model.Millisecond)))
+}
+
+// decodeStrict decodes the one JSON value r holds into v, rejecting
+// unknown fields and any content after the value. Every reader of this
+// package parses through it.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return errors.New("trailing content after JSON value")
+	}
+	return nil
 }
 
 // WriteProblem serializes a problem. Process names must be unique
@@ -48,14 +97,14 @@ func WriteProblem(w io.Writer, p core.Problem) error {
 	if err != nil {
 		return err
 	}
-	var appBuf bytes.Buffer
-	if err := p.App.WriteJSON(&appBuf); err != nil {
-		return err
-	}
 	out := problemJSON{
-		Application: json.RawMessage(appBuf.Bytes()),
-		Faults:      faultJSON{K: p.Faults.K, MuMs: p.Faults.Mu.Milliseconds()},
-		WCETMs:      map[string]map[string]float64{},
+		Application: writeApp(p.App, names),
+		Faults: faultJSON{
+			K:     p.Faults.K,
+			MuMs:  p.Faults.Mu.Milliseconds(),
+			ChiMs: p.Faults.Chi.Milliseconds(),
+		},
+		WCETMs: map[string]map[string]float64{},
 	}
 	for _, n := range p.Arch.Nodes() {
 		out.Architecture = append(out.Architecture, n.Name)
@@ -79,6 +128,65 @@ func WriteProblem(w io.Writer, p core.Problem) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
+}
+
+// writeApp is the application part of a problem document; names is the
+// application-wide name table, which also names the edge ends.
+func writeApp(a *model.Application, names map[model.ProcID]string) appJSON {
+	out := appJSON{Name: a.Name}
+	for _, g := range a.Graphs() {
+		gj := graphJSON{
+			Name:       g.Name,
+			PeriodMs:   g.Period.Milliseconds(),
+			DeadlineMs: g.Deadline.Milliseconds(),
+		}
+		for _, p := range g.Processes() {
+			gj.Processes = append(gj.Processes, procJSON{
+				Name:       p.Name,
+				ReleaseMs:  p.Release.Milliseconds(),
+				DeadlineMs: p.Deadline.Milliseconds(),
+			})
+		}
+		for _, e := range g.Edges() {
+			gj.Edges = append(gj.Edges, edgeJSON{Src: names[e.Src], Dst: names[e.Dst], Bytes: e.Bytes})
+		}
+		out.Graphs = append(out.Graphs, gj)
+	}
+	return out
+}
+
+// readApp builds and validates the application of a problem document.
+// Edges name processes of their own graph.
+func readApp(in appJSON) (*model.Application, error) {
+	app := model.NewApplication(in.Name)
+	for _, gj := range in.Graphs {
+		g := app.AddGraph(gj.Name, msToTime(gj.PeriodMs), msToTime(gj.DeadlineMs))
+		byName := make(map[string]*model.Process, len(gj.Processes))
+		for _, pj := range gj.Processes {
+			if _, dup := byName[pj.Name]; dup {
+				return nil, fmt.Errorf("sysio: graph %q has duplicate process name %q", gj.Name, pj.Name)
+			}
+			p := app.AddProcess(g, pj.Name)
+			p.Release = msToTime(pj.ReleaseMs)
+			p.Deadline = msToTime(pj.DeadlineMs)
+			byName[pj.Name] = p
+		}
+		for _, ej := range gj.Edges {
+			src, ok := byName[ej.Src]
+			if !ok {
+				return nil, fmt.Errorf("sysio: graph %q edge references unknown process %q", gj.Name, ej.Src)
+			}
+			dst, ok := byName[ej.Dst]
+			if !ok {
+				return nil, fmt.Errorf("sysio: graph %q edge references unknown process %q", gj.Name, ej.Dst)
+			}
+			g.AddEdge(src, dst, ej.Bytes)
+		}
+	}
+	if err := app.Validate(); err != nil {
+		return nil, err
+	}
+	return app, nil
 }
 
 func sortedNames(set map[model.ProcID]bool, names map[model.ProcID]string) []string {
@@ -106,12 +214,10 @@ func sortedKeys[V any](m map[string]V) []string {
 // ReadProblem parses and validates a problem document.
 func ReadProblem(r io.Reader) (core.Problem, error) {
 	var in problemJSON
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
+	if err := decodeStrict(r, &in); err != nil {
 		return core.Problem{}, fmt.Errorf("sysio: decoding problem: %w", err)
 	}
-	app, err := model.ReadJSON(bytes.NewReader(in.Application))
+	app, err := readApp(in.Application)
 	if err != nil {
 		return core.Problem{}, err
 	}
@@ -150,14 +256,14 @@ func ReadProblem(r io.Reader) (core.Problem, error) {
 			if ms <= 0 {
 				return core.Problem{}, fmt.Errorf("sysio: non-positive WCET of %q on %q", pname, nname)
 			}
-			w.Set(id, n, model.Time(math.Round(ms*float64(model.Millisecond))))
+			w.Set(id, n, msToTime(ms))
 		}
 	}
 	p := core.Problem{
 		App:    app,
 		Arch:   a,
 		WCET:   w,
-		Faults: fault.Model{K: in.Faults.K, Mu: model.Time(math.Round(in.Faults.MuMs * float64(model.Millisecond)))},
+		Faults: fault.Model{K: in.Faults.K, Mu: msToTime(in.Faults.MuMs), Chi: msToTime(in.Faults.ChiMs)},
 	}
 	if len(in.FixedMapping) > 0 {
 		p.FixedMapping = map[model.ProcID]arch.NodeID{}

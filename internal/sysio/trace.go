@@ -71,7 +71,7 @@ func ReadTrace(r io.Reader) (*core.Trace, error) {
 		return nil, errors.New("sysio: empty trace document (no header line)")
 	}
 	var hdr traceHeader
-	if err := strictUnmarshalLine(sc.Bytes(), &hdr); err != nil {
+	if err := decodeStrict(bytes.NewReader(sc.Bytes()), &hdr); err != nil {
 		return nil, fmt.Errorf("sysio: parsing trace header: %w", err)
 	}
 	if hdr.Version != TraceVersion {
@@ -86,7 +86,7 @@ func ReadTrace(r io.Reader) (*core.Trace, error) {
 			return nil, fmt.Errorf("sysio: trace line %d: blank line inside document", line)
 		}
 		var ev core.SearchEvent
-		if err := strictUnmarshalLine(raw, &ev); err != nil {
+		if err := decodeStrict(bytes.NewReader(raw), &ev); err != nil {
 			return nil, fmt.Errorf("sysio: trace line %d: %w", line, err)
 		}
 		t.Events = append(t.Events, ev)
@@ -98,20 +98,6 @@ func ReadTrace(r io.Reader) (*core.Trace, error) {
 		return nil, fmt.Errorf("sysio: invalid trace: %w", err)
 	}
 	return t, nil
-}
-
-// strictUnmarshalLine decodes one JSONL line with unknown fields and
-// trailing content rejected.
-func strictUnmarshalLine(raw []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		return errors.New("trailing content after JSON object")
-	}
-	return nil
 }
 
 // validateTrace checks the structural invariants the recorder

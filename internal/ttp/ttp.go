@@ -97,15 +97,6 @@ func (c Config) SlotIndex(n arch.NodeID) int {
 	return -1
 }
 
-// SlotOffset returns the start offset of slot i within a round.
-func (c Config) SlotOffset(i int) model.Time {
-	var off model.Time
-	for j := 0; j < i; j++ {
-		off += c.Slots[j].Length
-	}
-	return off
-}
-
 // SlotCapacity returns how many payload bytes fit into slot i.
 func (c Config) SlotCapacity(i int) int {
 	return int(c.Slots[i].Length / c.PerByte)
@@ -122,13 +113,6 @@ func (c Config) WithSlotOrder(perm []int) Config {
 	for i, p := range perm {
 		out.Slots[i] = c.Slots[p]
 	}
-	return out
-}
-
-// WithSlotLength returns a copy with slot i resized to length.
-func (c Config) WithSlotLength(i int, length model.Time) Config {
-	out := Config{PerByte: c.PerByte, Slots: append([]Slot(nil), c.Slots...)}
-	out.Slots[i].Length = length
 	return out
 }
 

@@ -29,9 +29,6 @@ func TestInitialConfig(t *testing.T) {
 	if cfg.SlotIndex(9) != -1 {
 		t.Error("SlotIndex of unknown node should be -1")
 	}
-	if cfg.SlotOffset(1) != model.Ms(10) {
-		t.Errorf("SlotOffset(1) = %v, want 10ms", cfg.SlotOffset(1))
-	}
 	if cfg.SlotCapacity(0) != 4 {
 		t.Errorf("SlotCapacity = %d, want 4", cfg.SlotCapacity(0))
 	}
@@ -187,20 +184,6 @@ func TestWithSlotOrder(t *testing.T) {
 	}
 }
 
-func TestWithSlotLength(t *testing.T) {
-	a, cfg := twoNodeConfig()
-	big := cfg.WithSlotLength(0, model.Ms(20))
-	if err := big.Validate(a); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if big.Slots[0].Length != model.Ms(20) || cfg.Slots[0].Length != model.Ms(10) {
-		t.Error("WithSlotLength wrong or mutated receiver")
-	}
-	if big.RoundLength() != model.Ms(30) {
-		t.Errorf("RoundLength = %v, want 30ms", big.RoundLength())
-	}
-}
-
 // Property: a reserved transmission always starts at or after the ready
 // time, lies inside a slot owned by the requested node, and frames never
 // exceed capacity.
@@ -226,7 +209,10 @@ func TestReserveProperty(t *testing.T) {
 			if tr.Slot != si {
 				return false
 			}
-			wantStart := model.Time(tr.Round)*cfg.RoundLength() + cfg.SlotOffset(si)
+			wantStart := model.Time(tr.Round) * cfg.RoundLength()
+			for _, before := range cfg.Slots[:si] {
+				wantStart += before.Length
+			}
 			if tr.Start != wantStart || tr.Arrival != wantStart+cfg.Slots[si].Length {
 				return false
 			}

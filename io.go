@@ -10,7 +10,8 @@ import (
 // ReadProblem parses a problem from its JSON document: application
 // graphs, architecture, WCET table, fault hypothesis and designer
 // constraints. The format is written by WriteProblem and by the ftgen
-// tool.
+// tool. The parse is strict: unknown fields and content after the
+// document are rejected.
 func ReadProblem(r io.Reader) (Problem, error) {
 	p, err := sysio.ReadProblem(r)
 	if err != nil {

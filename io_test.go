@@ -2,10 +2,62 @@ package ftdse_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"strings"
 	"testing"
 
 	"repro/ftdse"
+	"repro/ftdse/bench"
 )
+
+// everyFieldDoc is a hand-written problem document that sets every
+// field the format has: names that JSON escapes (<, &, ") and non-ASCII
+// ones, two graphs of different periods, graph and process deadlines,
+// release times, fractional milliseconds, a fixed mapping, both force
+// sets and a graph without edges.
+const everyFieldDoc = `{
+  "application": {
+    "name": "pin <all> & \"every\" field ü",
+    "graphs": [
+      {
+        "name": "Ctl<&>",
+        "period_ms": 100,
+        "deadline_ms": 90,
+        "processes": [
+          {"name": "Sense\"ü\"", "release_ms": 2.5},
+          {"name": "A<b>", "deadline_ms": 60.125},
+          {"name": "C&d", "release_ms": 1, "deadline_ms": 80},
+          {"name": "Act"}
+        ],
+        "edges": [
+          {"src": "Sense\"ü\"", "dst": "A<b>", "bytes": 4},
+          {"src": "Sense\"ü\"", "dst": "C&d", "bytes": 2},
+          {"src": "A<b>", "dst": "Act", "bytes": 8},
+          {"src": "C&d", "dst": "Act", "bytes": 1}
+        ]
+      },
+      {
+        "name": "Log",
+        "period_ms": 200,
+        "processes": [{"name": "Störe"}],
+        "edges": []
+      }
+    ]
+  },
+  "architecture": ["N1", "N<2>", "Nü3"],
+  "wcet_ms": {
+    "Sense\"ü\"": {"N1": 4.25, "N<2>": 5},
+    "A<b>": {"N1": 10, "N<2>": 12.5, "Nü3": 11},
+    "C&d": {"N1": 7, "N<2>": 6, "Nü3": 8.001},
+    "Act": {"N<2>": 3, "Nü3": 3.5},
+    "Störe": {"N1": 20, "Nü3": 18}
+  },
+  "faults": {"k": 2, "mu_ms": 1.5},
+  "fixed_mapping": {"Sense\"ü\"": "N1"},
+  "force_reexecution": ["A<b>"],
+  "force_replication": ["C&d"]
+}`
 
 // TestWriteProblemCanonical pins the canonical-encoding guarantee that
 // the service's result cache relies on: WriteProblem → ReadProblem →
@@ -96,5 +148,44 @@ func TestWriteProblemConcurrentFirstEncode(t *testing.T) {
 	}
 	if !bytes.Equal(docs[0].Bytes(), docs[1].Bytes()) {
 		t.Fatal("concurrent encodings of one problem differ")
+	}
+}
+
+// TestProblemDocumentPinned pins the SHA-256 of WriteProblem's output,
+// so a change to the document's bytes, key order or indentation shows:
+// the document is the solve service's wire payload and the input of
+// every request fingerprint and result-cache key.
+func TestProblemDocumentPinned(t *testing.T) {
+	probs := map[string]ftdse.Problem{"cruise-control": ftdse.CruiseControl()}
+	for _, c := range bench.Corpus(1, true) {
+		probs[strings.TrimSuffix(c.Name, "/"+c.Engine)] = c.Problem()
+	}
+	every, err := ftdse.ReadProblem(strings.NewReader(everyFieldDoc))
+	if err != nil {
+		t.Fatalf("every-field document: %v", err)
+	}
+	probs["every-field"] = every
+	want := map[string]string{
+		"cruise-control": "864cefab3ef75dc8c31bbc606a41ac503f561e8821bebbe5cd591a1145501ab3",
+		"every-field":    "a71676f98e946da201a4c2bec1f4defe8a16d4b4f158af4539805519d5a8d8aa",
+		"medium/chains":  "70fe8f15808865dbc37784a41404c29ed538be46deafe3f41cb99e4628649fd9",
+		"medium/random":  "4e3207e34f53d93377de480540aa6f06b225ca7693423f6207dcb1982d9ed565",
+		"medium/tree":    "ffe4f951709b150c402e2d56b4cd92e2cdf055e8ddd0ec5da69d4641e82810fc",
+		"small/chains":   "40c6a00cdaee339f063dada629ce96f7548f256f08d73c1530c1eac34f69521a",
+		"small/random":   "204d9888dbabc1a15a8da07c06911f3e2ec425e7bb67e975683311e3100c3efc",
+		"small/tree":     "b08bcb2fe736ff8db0bfeb70e8556208837d3a6a63fa794f874011dbaf2fdf3e",
+	}
+	for name, p := range probs {
+		var buf bytes.Buffer
+		if err := ftdse.WriteProblem(&buf, p); err != nil {
+			t.Fatalf("%s: WriteProblem: %v", name, err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != want[name] {
+			t.Errorf("%s: document sha256 %s, want %s", name, got, want[name])
+		}
+	}
+	if len(want) != len(probs) {
+		t.Errorf("%d pinned documents, want %d", len(want), len(probs))
 	}
 }

@@ -129,3 +129,58 @@ func TestRetiredOptionsSolveAsDefault(t *testing.T) {
 		}
 	}
 }
+
+// TestFingerprintTellsChiApart: the checkpoint overhead χ travels in the
+// problem document, so a checkpointed design costs the same after a
+// round trip, and a problem and its χ = 0 twin are different requests.
+func TestFingerprintTellsChiApart(t *testing.T) {
+	build := func(chi ftdse.Time) (ftdse.Problem, ftdse.Design) {
+		b := ftdse.NewProblem("chi").Nodes(2)
+		g := b.Graph("G", ftdse.Ms(400), ftdse.Ms(400))
+		p1 := g.Process("P1", ftdse.Ms(30), ftdse.Ms(30))
+		p2 := g.Process("P2", ftdse.Ms(40), ftdse.Ms(40))
+		g.Edge(p1, p2, 4)
+		p, err := b.Faults(2, ftdse.Ms(5)).CheckpointCost(chi).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, ftdse.Design{p1.ID: ftdse.Checkpointed(0, 2, 3), p2.ID: ftdse.Checkpointed(1, 2, 1)}
+	}
+	p, design := build(ftdse.Ms(3))
+	twin, _ := build(0)
+	var doc bytes.Buffer
+	if err := ftdse.WriteProblem(&doc, p); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ftdse.ReadProblem(&doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Faults() != p.Faults() {
+		t.Errorf("round trip: faults %v, want %v", back.Faults(), p.Faults())
+	}
+	var makespans []ftdse.Time
+	for _, q := range []ftdse.Problem{p, back, twin} {
+		s, err := q.Evaluate(design)
+		if err != nil {
+			t.Fatal(err)
+		}
+		makespans = append(makespans, s.Makespan)
+	}
+	if makespans[1] != makespans[0] || makespans[2] == makespans[0] {
+		t.Errorf("checkpointed design: δ=%v, round trip δ=%v, χ=0 twin δ=%v; want the first two equal, the third apart",
+			makespans[0], makespans[1], makespans[2])
+	}
+	opts := service.SolveOptions{Checkpointing: true}
+	fp, err := service.Fingerprint(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twinFP, err := service.Fingerprint(twin, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp == twinFP {
+		t.Errorf("χ=3ms and χ=0 share fingerprint %s", fp)
+	}
+}
