@@ -9,6 +9,7 @@ package bench
 
 import (
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
@@ -101,4 +102,43 @@ func BenchmarkServiceCacheHit(b *testing.B) {
 	if m["ftdse_solves_total"] != 1 {
 		b.Fatalf("cache-hit benchmark re-solved: ftdse_solves_total = %v", m["ftdse_solves_total"])
 	}
+}
+
+// BenchmarkSubmitEncode measures what a submission costs its caller
+// before the request leaves: client.NewRequest and the request's JSON
+// encoding, on a 20-process, 3-node, k = 2 problem. "first" submits a
+// Problem that was never sent (generated outside the timer), so the
+// Problem encodes its document; "repeat" resubmits one Problem, which
+// reuses the document its first submission encoded.
+func BenchmarkSubmitEncode(b *testing.B) {
+	spec := ftdse.GenSpec{Procs: 20, Nodes: 3, Seed: 9}
+	fm := ftdse.FaultModel{K: 2, Mu: ftdse.Ms(5)}
+	opts := service.SolveOptions{MaxIterations: 5, Workers: 1}
+	encode := func(b *testing.B, p ftdse.Problem) {
+		req, err := client.NewRequest(p, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := json.Marshal(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("first", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			p := ftdse.GenerateProblem(spec, fm)
+			b.StartTimer()
+			encode(b, p)
+		}
+	})
+	b.Run("repeat", func(b *testing.B) {
+		p := ftdse.GenerateProblem(spec, fm)
+		encode(b, p)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			encode(b, p)
+		}
+	})
 }

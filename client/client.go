@@ -168,16 +168,17 @@ func (c *Client) once(ctx context.Context, method, url string, raw []byte, out a
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// request encodes a problem into a SubmitRequest, minting a trace ID so
-// the submission is traceable end to end — through the coordinator's
-// journal, the solving node's logs, the SSE stream, and the final
-// result — from the moment it leaves this process.
+// request packages a problem's document into a SubmitRequest, minting
+// a trace ID so the submission is traceable end to end — through the
+// coordinator's journal, the solving node's logs, the SSE stream, and
+// the final result — from the moment it leaves this process. The
+// Problem encodes its document on its first submission only.
 func request(p ftdse.Problem, opts service.SolveOptions) (service.SubmitRequest, error) {
-	var doc bytes.Buffer
-	if err := ftdse.WriteProblem(&doc, p); err != nil {
+	doc, err := p.Document()
+	if err != nil {
 		return service.SubmitRequest{}, err
 	}
-	return service.SubmitRequest{Problem: doc.Bytes(), Options: opts, TraceID: obs.NewTraceID()}, nil
+	return service.SubmitRequest{Problem: doc, Options: opts, TraceID: obs.NewTraceID()}, nil
 }
 
 // Submit enqueues one problem and returns immediately with the job's

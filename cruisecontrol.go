@@ -15,4 +15,4 @@ const (
 
 // CruiseControl reconstructs the paper's vehicle cruise-controller
 // case study as a ready-to-solve Problem.
-func CruiseControl() Problem { return Problem{core: ccapp.New()} }
+func CruiseControl() Problem { return newProblem(ccapp.New()) }

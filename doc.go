@@ -26,6 +26,12 @@
 //	g.Edge(sensor, actuate, 2)
 //	prob, err := b.Build()
 //
+// A builder is single-use: the Problem a successful Build returns owns
+// what the builder assembled, so every later call on the builder (or on
+// its GraphBuilders) changes nothing and makes the next Build fail. A
+// Problem is immutable, so one Problem may be solved, encoded and
+// submitted from many goroutines at once.
+//
 // # Solving
 //
 // A Solver is configured once with functional options and can then

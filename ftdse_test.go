@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/ftdse"
+	"repro/ftdse/service"
 )
 
 func TestParseStrategyRoundTrip(t *testing.T) {
@@ -116,6 +117,126 @@ func TestProblemBuilderRejectsInvalid(t *testing.T) {
 	q := b3.Graph("G", ftdse.Ms(100), ftdse.Ms(100)).Process("Q", ftdse.Ms(1))
 	if _, err := b3.Faults(1, ftdse.Ms(1)).WCET(q, -1, ftdse.Ms(1)).Build(); err == nil {
 		t.Error("Build accepted a WCET on node -1")
+	}
+	// A WCET on a node outside the architecture: every encoder would
+	// then look up a node that does not exist.
+	b4 := ftdse.NewProblem("x").Nodes(2)
+	r := b4.Graph("G", ftdse.Ms(100), ftdse.Ms(100)).Process("R", ftdse.Ms(1))
+	if _, err := b4.Faults(1, ftdse.Ms(1)).WCET(r, 7, ftdse.Ms(3)).Build(); err == nil {
+		t.Error("Build accepted a WCET on node 7 of a 2-node architecture")
+	}
+}
+
+// TestValidateNamesProcessesAndNodes: a problem's validation errors
+// name processes as the application does and nodes N1..Nn, as printed
+// designs do; only a process the application lacks is named by ID.
+func TestValidateNamesProcessesAndNodes(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(b *ftdse.ProblemBuilder, p ftdse.Proc)
+		want  string
+	}{
+		{"pin where it cannot run", func(b *ftdse.ProblemBuilder, p ftdse.Proc) { b.Pin(p, 1) },
+			"core: process Sensor fixed to node N2 where it cannot run"},
+		{"pin outside the architecture", func(b *ftdse.ProblemBuilder, p ftdse.Proc) { b.Pin(p, 4) },
+			"core: process Sensor fixed to node N5 outside the 2-node architecture"},
+		{"WCET outside the architecture", func(b *ftdse.ProblemBuilder, p ftdse.Proc) { b.WCET(p, 7, ftdse.Ms(3)) },
+			"core: process Sensor has a WCET on node N8 outside the 2-node architecture"},
+		{"both P_X and P_R", func(b *ftdse.ProblemBuilder, p ftdse.Proc) { b.ForceReexecution(p).ForceReplication(p) },
+			"core: process Sensor in both P_X and P_R"},
+		{"replication without nodes", func(b *ftdse.ProblemBuilder, p ftdse.Proc) { b.ForceReplication(p) },
+			"core: process Sensor forced to replication but has only 1 allowed nodes for k=1"},
+		{"unknown process", func(b *ftdse.ProblemBuilder, _ ftdse.Proc) { b.Pin(ftdse.Proc{ID: 9, Name: "ghost"}, 0) },
+			"core: P_M references unknown process #9"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := ftdse.NewProblem("x").Nodes(2).Faults(1, ftdse.Ms(1))
+			p := b.Graph("G", ftdse.Ms(100), ftdse.Ms(100)).Process("Sensor", ftdse.Ms(1))
+			tc.build(b, p)
+			if _, err := b.Build(); err == nil || err.Error() != tc.want {
+				t.Errorf("Build error = %v, want %q", err, tc.want)
+			}
+		})
+	}
+	b := ftdse.NewProblem("x").Nodes(2)
+	b.Graph("G", ftdse.Ms(100), ftdse.Ms(100)).Process("Orphan")
+	want := "core: process Orphan has no allowed node"
+	if _, err := b.Build(); err == nil || err.Error() != want {
+		t.Errorf("Build error = %v, want %q", err, want)
+	}
+}
+
+// TestBuiltProblemIsImmutable: once Build succeeds, builder calls are
+// refused, so they change neither the built Problem's documents nor
+// its fingerprint, and cannot race with a Solve of that Problem; a
+// later Build reports the misuse. A failed Build leaves the builder
+// usable.
+func TestBuiltProblemIsImmutable(t *testing.T) {
+	b := ftdse.NewProblem("sealed").Nodes(2)
+	g := b.Graph("G", ftdse.Ms(100), ftdse.Ms(100))
+	a := g.Process("A", ftdse.Ms(10), ftdse.Ms(12))
+	c := g.Process("B")
+	g.Edge(a, c, 4)
+	if _, err := b.Faults(1, ftdse.Ms(2)).Build(); err == nil {
+		t.Fatal("Build accepted B without a WCET")
+	}
+	prob, err := b.WCET(c, 0, ftdse.Ms(5)).Build()
+	if err != nil {
+		t.Fatalf("Build after fixing the failed one: %v", err)
+	}
+	opts := service.SolveOptions{MaxIterations: 5, Workers: 1}
+	snapshot := func() (string, string, string) {
+		var doc bytes.Buffer
+		if err := ftdse.WriteProblem(&doc, prob); err != nil {
+			t.Fatalf("WriteProblem: %v", err)
+		}
+		wire, err := prob.Document()
+		if err != nil {
+			t.Fatalf("Document: %v", err)
+		}
+		fp, err := service.Fingerprint(prob, opts)
+		if err != nil {
+			t.Fatalf("Fingerprint: %v", err)
+		}
+		return doc.String(), string(wire), fp
+	}
+	doc0, wire0, fp0 := snapshot()
+
+	// Misuse the builder while a solve of the built problem runs.
+	done := make(chan error, 1)
+	go func() {
+		_, err := ftdse.NewSolver(ftdse.WithMaxIterations(20), ftdse.WithWorkers(1)).Solve(context.Background(), prob)
+		done <- err
+	}()
+	x := g.Process("X", ftdse.Ms(3), ftdse.Ms(3))
+	g.Edge(c, x, 2).Edge(a, c, 8)
+	b.Graph("H", ftdse.Ms(50), ftdse.Ms(50)).Process("Y", ftdse.Ms(1))
+	b.WCET(a, 1, ftdse.Ms(99)).Pin(a, 1).ForceReexecution(c).ForceReplication(a).
+		Faults(3, ftdse.Ms(9)).CheckpointCost(ftdse.Ms(1)).Nodes(5).NamedNodes("P", "Q")
+	if err := <-done; err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+
+	if prob.NumProcesses() != 2 || prob.NumNodes() != 2 || prob.Faults().K != 1 {
+		t.Errorf("built problem changed: %d processes, %d nodes, k=%d",
+			prob.NumProcesses(), prob.NumNodes(), prob.Faults().K)
+	}
+	if doc, wire, fp := snapshot(); doc != doc0 || wire != wire0 || fp != fp0 {
+		t.Errorf("builder calls after Build changed the problem:\ndocument %q\nwant     %q\nwire %q\nwant %q\nfingerprint %s, want %s",
+			doc, doc0, wire, wire0, fp, fp0)
+	}
+	if x.ID >= 0 {
+		t.Errorf("a refused Process returned ID %d", x.ID)
+	}
+	_, err = b.Build()
+	if err == nil || !strings.Contains(err.Error(), "Process after Build") {
+		t.Errorf("Build after misuse = %v, want the first misuse (Process after Build)", err)
+	}
+	spent := ftdse.NewProblem("twice").Nodes(1)
+	spent.Graph("G", ftdse.Ms(100), ftdse.Ms(100)).Process("P", ftdse.Ms(1))
+	spent.MustBuild()
+	if _, err := spent.Build(); err == nil {
+		t.Error("a second Build of a spent builder succeeded")
 	}
 }
 

@@ -3,6 +3,7 @@ package ftdse_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -66,6 +67,20 @@ func FuzzReadProblem(f *testing.F) {
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatalf("problem round trip is not a fixed point:\nfirst:\n%s\nsecond:\n%s",
 				first.Bytes(), second.Bytes())
+		}
+		// The document a submission sends is the compact form of the
+		// same document, so the two encodings cannot drift apart.
+		doc, err := p.Document()
+		if err != nil {
+			t.Fatalf("accepted problem has no wire document: %v", err)
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, first.Bytes()); err != nil {
+			t.Fatalf("WriteProblem output does not compact: %v", err)
+		}
+		if !bytes.Equal(doc, compact.Bytes()) {
+			t.Fatalf("wire document differs from the compacted WriteProblem output:\nwire:\n%s\ncompact:\n%s",
+				doc, compact.Bytes())
 		}
 	})
 }

@@ -38,7 +38,7 @@ const (
 // GenerateProblem builds a synthetic design problem from a spec and a
 // fault hypothesis, as the paper's evaluation does.
 func GenerateProblem(spec GenSpec, fm FaultModel) Problem {
-	return Problem{core: gen.Problem(spec, fm)}
+	return newProblem(gen.Problem(spec, fm))
 }
 
 // ShapeNames returns the canonical lower-case names accepted by

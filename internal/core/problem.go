@@ -53,7 +53,9 @@ type Problem struct {
 	FixedMapping map[model.ProcID]arch.NodeID
 }
 
-// Validate checks the problem for consistency.
+// Validate checks the problem for consistency. Errors name processes
+// by name and nodes N1..Nn, as printed designs do; only a process the
+// application does not contain is named by its ID (#id).
 func (p Problem) Validate() error {
 	if p.App == nil || p.Arch == nil || p.WCET == nil {
 		return fmt.Errorf("core: incomplete problem")
@@ -67,37 +69,52 @@ func (p Problem) Validate() error {
 	if err := p.Faults.Validate(); err != nil {
 		return err
 	}
-	for _, id := range sortedProcIDs(p.ForceReexecution) {
-		if p.ForceReplication[id] {
-			return fmt.Errorf("core: process %d in both P_X and P_R", id)
+	nodes := p.Arch.NumNodes()
+	// Every process must be mappable somewhere, and only on nodes of
+	// the architecture; replication-capable checks are per strategy.
+	for _, proc := range p.App.Processes() {
+		row := p.WCET.Row(proc.ID)
+		for n := nodes; n < len(row); n++ {
+			if row[n] > 0 {
+				return fmt.Errorf("core: process %s has a WCET on node N%d outside the %d-node architecture",
+					proc.Name, n+1, nodes)
+			}
 		}
-		if p.App.Process(id) == nil {
-			return fmt.Errorf("core: P_X references unknown process %d", id)
+		if len(p.WCET.AllowedNodes(proc.ID)) == 0 {
+			return fmt.Errorf("core: process %s has no allowed node", proc.Name)
+		}
+	}
+	for _, id := range sortedProcIDs(p.ForceReexecution) {
+		proc := p.App.Process(id)
+		if proc == nil {
+			return fmt.Errorf("core: P_X references unknown process #%d", id)
+		}
+		if p.ForceReplication[id] {
+			return fmt.Errorf("core: process %s in both P_X and P_R", proc.Name)
 		}
 	}
 	for _, id := range sortedProcIDs(p.ForceReplication) {
-		if p.App.Process(id) == nil {
-			return fmt.Errorf("core: P_R references unknown process %d", id)
+		proc := p.App.Process(id)
+		if proc == nil {
+			return fmt.Errorf("core: P_R references unknown process #%d", id)
 		}
-		if len(p.WCET.AllowedNodes(id)) < p.Faults.K+1 {
-			return fmt.Errorf("core: process %d forced to replication but has only %d allowed nodes for k=%d",
-				id, len(p.WCET.AllowedNodes(id)), p.Faults.K)
+		if allowed := len(p.WCET.AllowedNodes(id)); allowed < p.Faults.K+1 {
+			return fmt.Errorf("core: process %s forced to replication but has only %d allowed nodes for k=%d",
+				proc.Name, allowed, p.Faults.K)
 		}
 	}
 	for _, id := range sortedProcIDs(p.FixedMapping) {
 		n := p.FixedMapping[id]
-		if p.App.Process(id) == nil {
-			return fmt.Errorf("core: P_M references unknown process %d", id)
+		proc := p.App.Process(id)
+		if proc == nil {
+			return fmt.Errorf("core: P_M references unknown process #%d", id)
+		}
+		if n < 0 || int(n) >= nodes {
+			return fmt.Errorf("core: process %s fixed to node N%d outside the %d-node architecture",
+				proc.Name, n+1, nodes)
 		}
 		if _, ok := p.WCET.Get(id, n); !ok {
-			return fmt.Errorf("core: process %d fixed to node %d where it cannot run", id, n)
-		}
-	}
-	// Every process must be mappable somewhere; replication-capable
-	// checks are per strategy.
-	for _, proc := range p.App.Processes() {
-		if len(p.WCET.AllowedNodes(proc.ID)) == 0 {
-			return fmt.Errorf("core: process %s has no allowed node", proc)
+			return fmt.Errorf("core: process %s fixed to node N%d where it cannot run", proc.Name, n+1)
 		}
 	}
 	return nil

@@ -86,16 +86,41 @@ func decodeStrict(r io.Reader, v any) error {
 	return nil
 }
 
-// WriteProblem serializes a problem. Process names must be unique
-// across the whole application (they key the WCET table). A problem
-// without an application, architecture or WCET table is an error.
+// WriteProblem serializes a problem as the indented, human-editable
+// document. Process names must be unique across the whole application
+// (they key the WCET table). A problem without an application,
+// architecture or WCET table is an error.
 func WriteProblem(w io.Writer, p core.Problem) error {
+	doc, err := problemDoc(p)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(doc)
+}
+
+// MarshalProblem returns the compact form of WriteProblem's document:
+// exactly the bytes json.Compact makes of WriteProblem's output, which
+// is the form a document takes inside a solve request. encoding/json
+// indents its compact encoding, so marshalling the same value without
+// an indent gives these bytes in one pass.
+func MarshalProblem(p core.Problem) ([]byte, error) {
+	doc, err := problemDoc(p)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(doc)
+}
+
+// problemDoc is the document value both problem encodings marshal.
+func problemDoc(p core.Problem) (problemJSON, error) {
 	if p.App == nil || p.Arch == nil || p.WCET == nil {
-		return fmt.Errorf("sysio: incomplete problem")
+		return problemJSON{}, fmt.Errorf("sysio: incomplete problem")
 	}
 	names, err := uniqueNames(p.App)
 	if err != nil {
-		return err
+		return problemJSON{}, err
 	}
 	out := problemJSON{
 		Application: writeApp(p.App, names),
@@ -124,10 +149,7 @@ func WriteProblem(w io.Writer, p core.Problem) error {
 	}
 	out.ForceReexecution = sortedNames(p.ForceReexecution, names)
 	out.ForceReplication = sortedNames(p.ForceReplication, names)
-
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return out, nil
 }
 
 // writeApp is the application part of a problem document; names is the

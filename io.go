@@ -17,7 +17,7 @@ func ReadProblem(r io.Reader) (Problem, error) {
 	if err != nil {
 		return Problem{}, err
 	}
-	return Problem{core: p}, nil
+	return newProblem(p), nil
 }
 
 // WriteProblem serializes a problem as a human-editable JSON document.

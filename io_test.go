@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"repro/ftdse"
 	"repro/ftdse/bench"
+	"repro/ftdse/client"
+	"repro/ftdse/service"
 )
 
 // everyFieldDoc is a hand-written problem document that sets every
@@ -151,11 +154,11 @@ func TestWriteProblemConcurrentFirstEncode(t *testing.T) {
 	}
 }
 
-// TestProblemDocumentPinned pins the SHA-256 of WriteProblem's output,
-// so a change to the document's bytes, key order or indentation shows:
-// the document is the solve service's wire payload and the input of
-// every request fingerprint and result-cache key.
-func TestProblemDocumentPinned(t *testing.T) {
+// pinnedProblems is the problem set of the document pins: the six
+// short-corpus problems, the cruise controller and the every-field
+// document.
+func pinnedProblems(t *testing.T) map[string]ftdse.Problem {
+	t.Helper()
 	probs := map[string]ftdse.Problem{"cruise-control": ftdse.CruiseControl()}
 	for _, c := range bench.Corpus(1, true) {
 		probs[strings.TrimSuffix(c.Name, "/"+c.Engine)] = c.Problem()
@@ -165,6 +168,15 @@ func TestProblemDocumentPinned(t *testing.T) {
 		t.Fatalf("every-field document: %v", err)
 	}
 	probs["every-field"] = every
+	return probs
+}
+
+// TestProblemDocumentPinned pins the SHA-256 of WriteProblem's output,
+// so a change to the document's bytes, key order or indentation shows:
+// the document is the input of every request fingerprint and
+// result-cache key.
+func TestProblemDocumentPinned(t *testing.T) {
+	probs := pinnedProblems(t)
 	want := map[string]string{
 		"cruise-control": "864cefab3ef75dc8c31bbc606a41ac503f561e8821bebbe5cd591a1145501ab3",
 		"every-field":    "a71676f98e946da201a4c2bec1f4defe8a16d4b4f158af4539805519d5a8d8aa",
@@ -183,6 +195,54 @@ func TestProblemDocumentPinned(t *testing.T) {
 		sum := sha256.Sum256(buf.Bytes())
 		if got := hex.EncodeToString(sum[:]); got != want[name] {
 			t.Errorf("%s: document sha256 %s, want %s", name, got, want[name])
+		}
+	}
+	if len(want) != len(probs) {
+		t.Errorf("%d pinned documents, want %d", len(want), len(probs))
+	}
+}
+
+// TestProblemWireDocumentPinned pins the SHA-256 of the problem
+// document a submission puts on the wire (client.NewRequest, then
+// json.Marshal of the request), for the problems TestProblemDocumentPinned
+// pins. The service keys its ProblemMemo by these bytes, so a change
+// here makes every resubmission from an updated client miss the memo.
+// The document a Problem carries must also be exactly the bytes sent.
+func TestProblemWireDocumentPinned(t *testing.T) {
+	probs := pinnedProblems(t)
+	want := map[string]string{
+		"cruise-control": "3e12b5a596276a2680b8d0434929af1d00da52a9336c3173ed02ce8c69635727",
+		"every-field":    "150ba5486666240c2ef8c0dbe8b2b221d5954251a59d0ea335e763a6e0ce57f8",
+		"medium/chains":  "056175e08c951dee6b48256d5727024d6edaa6f2e275834c895d1c2d6f30d45c",
+		"medium/random":  "19b1408529a6dc028461de09e47716a66bb1f024b330e3c70997443005c11da2",
+		"medium/tree":    "df913440a39bad7ca7ed1c2fa699806eb49ff159ea0875b2cf1a52ae9170b0ac",
+		"small/chains":   "132334fcd0cd1c4572d6fa1c25d02b781cbe7f573a03117cf21bf5c1ac8484e0",
+		"small/random":   "d9ceae75f62f63901d5590cd8ba25dccbfb1dc518c06bfcec5c82f2ed36b8bab",
+		"small/tree":     "5cb166784a64e313bc44bb932b24102bdf4910350abf70eaee1209497a765cfb",
+	}
+	for name, p := range probs {
+		req, err := client.NewRequest(p, service.SolveOptions{})
+		if err != nil {
+			t.Fatalf("%s: NewRequest: %v", name, err)
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("%s: marshal: %v", name, err)
+		}
+		var sent struct{ Problem json.RawMessage }
+		if err := json.Unmarshal(body, &sent); err != nil {
+			t.Fatalf("%s: unmarshal: %v", name, err)
+		}
+		sum := sha256.Sum256(sent.Problem)
+		if got := hex.EncodeToString(sum[:]); got != want[name] {
+			t.Errorf("%s: wire document sha256 %s, want %s", name, got, want[name])
+		}
+		doc, err := p.Document()
+		if err != nil {
+			t.Fatalf("%s: Document: %v", name, err)
+		}
+		if !bytes.Equal(doc, sent.Problem) {
+			t.Errorf("%s: Document differs from the bytes sent:\n%s\n%s", name, doc, sent.Problem)
 		}
 	}
 	if len(want) != len(probs) {

@@ -1,8 +1,12 @@
 package ftdse
 
 import (
+	"bytes"
+	"sync"
+
 	"repro/ftdse/internal/core"
 	"repro/ftdse/internal/sched"
+	"repro/ftdse/internal/sysio"
 	"repro/ftdse/internal/ttp"
 )
 
@@ -21,8 +25,47 @@ func (p Proc) String() string { return p.Name }
 // designer-imposed constraints (the paper's sets P_X, P_R and P_M).
 // Problems are built with a ProblemBuilder, loaded with ReadProblem,
 // generated with GenerateProblem, or obtained from CruiseControl.
+//
+// A Problem is immutable: nothing changes it once it is built, so one
+// Problem may be solved, encoded and submitted from many goroutines at
+// once. It is a small value; copies share the problem and its document
+// (see Document).
 type Problem struct {
 	core core.Problem
+	doc  *document // nil only in the zero Problem
+}
+
+// document holds a Problem's compact document, encoded by the first
+// Document call and shared by every copy of the Problem.
+type document struct {
+	once sync.Once
+	data []byte
+	err  error
+}
+
+// newProblem wraps a complete problem with its (still empty) document.
+// Every constructor goes through it; the document is encoded on first
+// use, never here, because most problems are never sent.
+func newProblem(p core.Problem) Problem {
+	return Problem{core: p, doc: new(document)}
+}
+
+// Document returns the problem's compact JSON document: exactly the
+// bytes json.Compact makes of WriteProblem's output, which is what the
+// solve client sends. The first call encodes the document and keeps
+// it; later calls, on this Problem or on any copy of it, return it
+// without encoding again. The returned slice is the caller's own. The
+// zero Problem has no document and reports an error.
+func (p Problem) Document() ([]byte, error) {
+	if p.doc == nil {
+		return sysio.MarshalProblem(p.core)
+	}
+	d := p.doc
+	d.once.Do(func() { d.data, d.err = sysio.MarshalProblem(p.core) })
+	if d.err != nil {
+		return nil, d.err
+	}
+	return bytes.Clone(d.data), nil
 }
 
 // Name returns the application name.
