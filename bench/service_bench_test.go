@@ -104,12 +104,43 @@ func BenchmarkServiceCacheHit(b *testing.B) {
 	}
 }
 
-// BenchmarkSubmitEncode measures what a submission costs its caller
-// before the request leaves: client.NewRequest and the request's JSON
-// encoding, on a 20-process, 3-node, k = 2 problem. "first" submits a
-// Problem that was never sent (generated outside the timer), so the
-// Problem encodes its document; "repeat" resubmits one Problem, which
-// reuses the document its first submission encoded.
+// BenchmarkServiceSubmitWaitHit measures one caller's SubmitWait cache
+// hits on a problem the size of the serve workload's (16 processes, 3
+// nodes, k = 2, a result document of about 2.7 KB): every hit sends the
+// problem document and gets the stored result document back, so the
+// time is mostly the two documents' trips through the client, the HTTP
+// stack and the handler.
+func BenchmarkServiceSubmitWaitHit(b *testing.B) {
+	c := benchService(b, service.Config{})
+	prob := ftdse.GenerateProblem(
+		ftdse.GenSpec{Procs: 16, Nodes: 3, Seed: 4},
+		ftdse.FaultModel{K: 2, Mu: ftdse.Ms(5)})
+	opts := service.SolveOptions{MaxIterations: 10, Workers: 1}
+	first, err := c.SubmitWait(context.Background(), prob, opts)
+	if err != nil || first.State != service.StateDone {
+		b.Fatalf("priming solve: %+v, %v", first, err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := c.SubmitWait(context.Background(), prob, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !st.Cached {
+			b.Fatal("submission missed the cache")
+		}
+	}
+}
+
+// BenchmarkSubmitEncode measures what a SubmitBatch submission costs
+// its caller before the request leaves: client.NewRequest and the
+// request's JSON encoding, on a 20-process, 3-node, k = 2 problem.
+// (Submit and SubmitWait build their body with service.AppendRequest
+// instead; BenchmarkServiceSubmitWaitHit includes that.) "first"
+// submits a Problem that was never sent (generated outside the timer),
+// so the Problem encodes its document; "repeat" resubmits one Problem,
+// which reuses the document its first submission encoded.
 func BenchmarkSubmitEncode(b *testing.B) {
 	spec := ftdse.GenSpec{Procs: 20, Nodes: 3, Seed: 9}
 	fm := ftdse.FaultModel{K: 2, Mu: ftdse.Ms(5)}

@@ -107,18 +107,12 @@ func apiError(resp *http.Response) error {
 	return &StatusError{Code: resp.StatusCode, Message: msg}
 }
 
-// do runs one JSON request/response exchange, retrying per the
-// configured policy. Retrying any of the service's endpoints is safe:
-// reads are idempotent, and re-POSTing a submission coalesces onto the
-// in-flight job (or hits the cache) by fingerprint.
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
-	var raw []byte
-	if body != nil {
-		var err error
-		if raw, err = json.Marshal(body); err != nil {
-			return err
-		}
-	}
+// do runs one JSON request/response exchange, sending the encoded body
+// raw (nil for none) and retrying per the configured policy. Retrying
+// any of the service's endpoints is safe: reads are idempotent, and
+// re-POSTing a submission coalesces onto the in-flight job (or hits the
+// cache) by fingerprint.
+func (c *Client) do(ctx context.Context, method, path string, raw []byte, out any) error {
 	attempts := max(c.retry.attempts, 1)
 	var last error
 	for a := 0; a < attempts; a++ {
@@ -168,19 +162,6 @@ func (c *Client) once(ctx context.Context, method, url string, raw []byte, out a
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// request packages a problem's document into a SubmitRequest, minting
-// a trace ID so the submission is traceable end to end — through the
-// coordinator's journal, the solving node's logs, the SSE stream, and
-// the final result — from the moment it leaves this process. The
-// Problem encodes its document on its first submission only.
-func request(p ftdse.Problem, opts service.SolveOptions) (service.SubmitRequest, error) {
-	doc, err := p.Document()
-	if err != nil {
-		return service.SubmitRequest{}, err
-	}
-	return service.SubmitRequest{Problem: doc, Options: opts, TraceID: obs.NewTraceID()}, nil
-}
-
 // Submit enqueues one problem and returns immediately with the job's
 // status — StateQueued, or StateDone when the result cache answered.
 func (c *Client) Submit(ctx context.Context, p ftdse.Problem, opts service.SolveOptions) (service.JobStatus, error) {
@@ -195,31 +176,51 @@ func (c *Client) SubmitWait(ctx context.Context, p ftdse.Problem, opts service.S
 }
 
 func (c *Client) submit(ctx context.Context, p ftdse.Problem, opts service.SolveOptions, path string) (service.JobStatus, error) {
-	req, err := request(p, opts)
+	body, err := submitBody(p, opts)
 	if err != nil {
 		return service.JobStatus{}, err
 	}
 	var st service.JobStatus
-	if err := c.do(ctx, http.MethodPost, path, req, &st); err != nil {
+	if err := c.do(ctx, http.MethodPost, path, body, &st); err != nil {
 		return service.JobStatus{}, err
 	}
 	return st, nil
+}
+
+// submitBody encodes one submission: the bytes json.Marshal makes of
+// NewRequest(p, opts), with the Problem's document copied once,
+// straight into the body. The Problem encodes its document on its
+// first submission only.
+func submitBody(p ftdse.Problem, opts service.SolveOptions) ([]byte, error) {
+	req := service.SubmitRequest{Options: opts, TraceID: obs.NewTraceID()}
+	return service.AppendRequest(nil, req, p.AppendDocument)
 }
 
 // SubmitBatch submits several problems atomically: either every job is
 // admitted (or served from cache) or the whole batch fails, typically
 // with *QueueFullError.
 func (c *Client) SubmitBatch(ctx context.Context, reqs []service.SubmitRequest) ([]service.JobStatus, error) {
+	body, err := json.Marshal(service.BatchRequest{Jobs: reqs})
+	if err != nil {
+		return nil, err
+	}
 	var resp service.BatchResponse
-	if err := c.do(ctx, http.MethodPost, "/solve/batch", service.BatchRequest{Jobs: reqs}, &resp); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/solve/batch", body, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Jobs, nil
 }
 
-// NewRequest packages a problem and options for SubmitBatch.
+// NewRequest packages a problem's document and options for SubmitBatch,
+// minting a trace ID so the submission is traceable end to end
+// (through the coordinator's journal, the solving node's logs, the SSE
+// stream and the final result) from the moment it leaves this process.
 func NewRequest(p ftdse.Problem, opts service.SolveOptions) (service.SubmitRequest, error) {
-	return request(p, opts)
+	doc, err := p.AppendDocument(nil)
+	if err != nil {
+		return service.SubmitRequest{}, err
+	}
+	return service.SubmitRequest{Problem: doc, Options: opts, TraceID: obs.NewTraceID()}, nil
 }
 
 // Job fetches a job's status; the result document is embedded once the

@@ -96,7 +96,8 @@ func TestConcurrentFirstSubmission(t *testing.T) {
 }
 
 // TestRepeatRequestAllocs gates what a resubmission of one Problem
-// costs the caller before the request leaves: the Problem encoded its
+// through SubmitBatch costs the caller before the request leaves:
+// NewRequest and the request's json.Marshal. The Problem encoded its
 // document on the first submission, so a repeat copies it instead of
 // encoding it again (276 allocations when every submission encoded).
 func TestRepeatRequestAllocs(t *testing.T) {
@@ -121,5 +122,30 @@ func TestRepeatRequestAllocs(t *testing.T) {
 	t.Logf("a repeat request allocates %.0f objects", allocs)
 	if allocs > 8 {
 		t.Fatalf("a repeat request allocates %.0f objects, want at most 8", allocs)
+	}
+}
+
+// TestRepeatSubmitBodyAllocs gates the body a resubmission of one
+// Problem builds before Submit or SubmitWait sends it: the trace ID and
+// the request's other fields are encoded, and the Problem's document is
+// copied once, straight into the body (8 allocations now).
+func TestRepeatSubmitBodyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation counts")
+	}
+	prob := ftdse.GenerateProblem(
+		ftdse.GenSpec{Procs: 20, Nodes: 3, Seed: 9},
+		ftdse.FaultModel{K: 2, Mu: ftdse.Ms(5)})
+	opts := service.SolveOptions{MaxIterations: 5, Workers: 1}
+	body := func() {
+		if _, err := client.SubmitBody(prob, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body() // the first submission encodes the document
+	allocs := testing.AllocsPerRun(50, body)
+	t.Logf("a repeat submission body allocates %.0f objects", allocs)
+	if allocs > 10 {
+		t.Fatalf("a repeat submission body allocates %.0f objects, want at most 10", allocs)
 	}
 }

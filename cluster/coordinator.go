@@ -554,7 +554,8 @@ func (c *Coordinator) dispatch(j *cjob) {
 		warm = true
 		c.met.warmDispatches.Inc()
 	}
-	body, err := json.Marshal(req)
+	// The client's problem document is forwarded as it arrived.
+	body, err := service.AppendRequest(nil, req, nil)
 	if err != nil {
 		c.conclude(j, service.StateFailed, nil, "encoding dispatch: "+err.Error())
 		return

@@ -45,12 +45,16 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// writeJSON emits a compact response (compactness keeps RawMessage
-// results byte-identical with what the nodes produced).
+// writeJSON emits a response exactly as json.NewEncoder(w).Encode(v)
+// would, encoded by service.AppendJSON: the result document a node sent
+// is forwarded as it arrived, not encoded again.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := service.AppendJSON(nil, v)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	if err == nil {
+		w.Write(append(body, '\n'))
+	}
 }
 
 func writeBadRequest(w http.ResponseWriter, err error) {
@@ -373,9 +377,9 @@ func (g *monotoneGate) admit(ev service.ProgressEvent) bool {
 	return true
 }
 
-// writeSSE emits one event, data marshaled compactly.
+// writeSSE emits one event, data encoded compactly by service.AppendJSON.
 func writeSSE(w http.ResponseWriter, event string, v any) {
-	data, err := json.Marshal(v)
+	data, err := service.AppendJSON(nil, v)
 	if err != nil {
 		data = []byte(`{"error":"encoding event"}`)
 	}

@@ -190,9 +190,9 @@ func TestBuiltProblemIsImmutable(t *testing.T) {
 		if err := ftdse.WriteProblem(&doc, prob); err != nil {
 			t.Fatalf("WriteProblem: %v", err)
 		}
-		wire, err := prob.Document()
+		wire, err := prob.AppendDocument(nil)
 		if err != nil {
-			t.Fatalf("Document: %v", err)
+			t.Fatalf("AppendDocument: %v", err)
 		}
 		fp, err := service.Fingerprint(prob, opts)
 		if err != nil {

@@ -70,7 +70,7 @@ func FuzzReadProblem(f *testing.F) {
 		}
 		// The document a submission sends is the compact form of the
 		// same document, so the two encodings cannot drift apart.
-		doc, err := p.Document()
+		doc, err := p.AppendDocument(nil)
 		if err != nil {
 			t.Fatalf("accepted problem has no wire document: %v", err)
 		}

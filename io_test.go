@@ -2,15 +2,23 @@ package ftdse_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/ftdse"
 	"repro/ftdse/bench"
 	"repro/ftdse/client"
+	"repro/ftdse/cluster"
 	"repro/ftdse/service"
 )
 
@@ -202,6 +210,19 @@ func TestProblemDocumentPinned(t *testing.T) {
 	}
 }
 
+// wireDocumentSHA256 is the SHA-256 of the problem document a
+// submission of each pinnedProblems entry puts on the wire.
+var wireDocumentSHA256 = map[string]string{
+	"cruise-control": "3e12b5a596276a2680b8d0434929af1d00da52a9336c3173ed02ce8c69635727",
+	"every-field":    "150ba5486666240c2ef8c0dbe8b2b221d5954251a59d0ea335e763a6e0ce57f8",
+	"medium/chains":  "056175e08c951dee6b48256d5727024d6edaa6f2e275834c895d1c2d6f30d45c",
+	"medium/random":  "19b1408529a6dc028461de09e47716a66bb1f024b330e3c70997443005c11da2",
+	"medium/tree":    "df913440a39bad7ca7ed1c2fa699806eb49ff159ea0875b2cf1a52ae9170b0ac",
+	"small/chains":   "132334fcd0cd1c4572d6fa1c25d02b781cbe7f573a03117cf21bf5c1ac8484e0",
+	"small/random":   "d9ceae75f62f63901d5590cd8ba25dccbfb1dc518c06bfcec5c82f2ed36b8bab",
+	"small/tree":     "5cb166784a64e313bc44bb932b24102bdf4910350abf70eaee1209497a765cfb",
+}
+
 // TestProblemWireDocumentPinned pins the SHA-256 of the problem
 // document a submission puts on the wire (client.NewRequest, then
 // json.Marshal of the request), for the problems TestProblemDocumentPinned
@@ -210,16 +231,7 @@ func TestProblemDocumentPinned(t *testing.T) {
 // The document a Problem carries must also be exactly the bytes sent.
 func TestProblemWireDocumentPinned(t *testing.T) {
 	probs := pinnedProblems(t)
-	want := map[string]string{
-		"cruise-control": "3e12b5a596276a2680b8d0434929af1d00da52a9336c3173ed02ce8c69635727",
-		"every-field":    "150ba5486666240c2ef8c0dbe8b2b221d5954251a59d0ea335e763a6e0ce57f8",
-		"medium/chains":  "056175e08c951dee6b48256d5727024d6edaa6f2e275834c895d1c2d6f30d45c",
-		"medium/random":  "19b1408529a6dc028461de09e47716a66bb1f024b330e3c70997443005c11da2",
-		"medium/tree":    "df913440a39bad7ca7ed1c2fa699806eb49ff159ea0875b2cf1a52ae9170b0ac",
-		"small/chains":   "132334fcd0cd1c4572d6fa1c25d02b781cbe7f573a03117cf21bf5c1ac8484e0",
-		"small/random":   "d9ceae75f62f63901d5590cd8ba25dccbfb1dc518c06bfcec5c82f2ed36b8bab",
-		"small/tree":     "5cb166784a64e313bc44bb932b24102bdf4910350abf70eaee1209497a765cfb",
-	}
+	want := wireDocumentSHA256
 	for name, p := range probs {
 		req, err := client.NewRequest(p, service.SolveOptions{})
 		if err != nil {
@@ -237,15 +249,97 @@ func TestProblemWireDocumentPinned(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != want[name] {
 			t.Errorf("%s: wire document sha256 %s, want %s", name, got, want[name])
 		}
-		doc, err := p.Document()
+		doc, err := p.AppendDocument(nil)
 		if err != nil {
-			t.Fatalf("%s: Document: %v", name, err)
+			t.Fatalf("%s: AppendDocument: %v", name, err)
 		}
 		if !bytes.Equal(doc, sent.Problem) {
-			t.Errorf("%s: Document differs from the bytes sent:\n%s\n%s", name, doc, sent.Problem)
+			t.Errorf("%s: AppendDocument differs from the bytes sent:\n%s\n%s", name, doc, sent.Problem)
 		}
 	}
 	if len(want) != len(probs) {
 		t.Errorf("%d pinned documents, want %d", len(want), len(probs))
+	}
+}
+
+// TestSubmissionBodiesPinned records the bodies client.Submit and
+// client.SubmitWait send to a node, and the body a coordinator
+// dispatches to it, for the problems TestProblemWireDocumentPinned
+// pins. Each body must be exactly what json.Marshal writes for the
+// request it decodes to, and carry the pinned problem document.
+func TestSubmissionBodiesPinned(t *testing.T) {
+	var mu sync.Mutex
+	var sent [][]byte
+	svc := service.New(service.Config{PoolWorkers: 1})
+	h := svc.Handler()
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/solve" {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Errorf("reading request: %v", err)
+			}
+			mu.Lock()
+			sent = append(sent, body)
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		h.ServeHTTP(w, r)
+	}))
+	coord, err := cluster.New(cluster.Config{Nodes: []cluster.Node{{Name: "n1", URL: node.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(coord.Handler())
+	if err := coord.Start(front.URL); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		defer cancel()
+		front.Close()
+		coord.Close(ctx)
+		node.Close()
+		svc.Close(ctx)
+	})
+
+	direct, clustered := client.New(node.URL, node.Client()), client.New(front.URL, front.Client())
+	opts := service.SolveOptions{MaxIterations: 1, Workers: 1}
+	ctx := context.Background()
+	for name, p := range pinnedProblems(t) {
+		mu.Lock()
+		sent = sent[:0]
+		mu.Unlock()
+		if _, err := direct.Submit(ctx, p, opts); err != nil {
+			t.Fatalf("%s: Submit: %v", name, err)
+		}
+		if _, err := direct.SubmitWait(ctx, p, opts); err != nil {
+			t.Fatalf("%s: SubmitWait: %v", name, err)
+		}
+		if st, err := clustered.SubmitWait(ctx, p, opts); err != nil || st.State != service.StateDone {
+			t.Fatalf("%s: SubmitWait through the coordinator = %+v, %v", name, st, err)
+		}
+		mu.Lock()
+		bodies := slices.Clone(sent)
+		mu.Unlock()
+		if len(bodies) != 3 {
+			t.Fatalf("%s: the node received %d submissions, want Submit, SubmitWait and one dispatch", name, len(bodies))
+		}
+		for i, body := range bodies {
+			var req service.SubmitRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Fatalf("%s: body %d: %v", name, i, err)
+			}
+			want, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(body, want) {
+				t.Errorf("%s: body %d\n%s\nis not what json.Marshal writes for it\n%s", name, i, body, want)
+			}
+			sum := sha256.Sum256(req.Problem)
+			if got := hex.EncodeToString(sum[:]); got != wireDocumentSHA256[name] {
+				t.Errorf("%s: body %d carries a problem document with sha256 %s, want %s", name, i, got, wireDocumentSHA256[name])
+			}
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package ftdse
 
 import (
-	"bytes"
 	"sync"
 
 	"repro/ftdse/internal/core"
@@ -29,14 +28,14 @@ func (p Proc) String() string { return p.Name }
 // A Problem is immutable: nothing changes it once it is built, so one
 // Problem may be solved, encoded and submitted from many goroutines at
 // once. It is a small value; copies share the problem and its document
-// (see Document).
+// (see AppendDocument).
 type Problem struct {
 	core core.Problem
 	doc  *document // nil only in the zero Problem
 }
 
 // document holds a Problem's compact document, encoded by the first
-// Document call and shared by every copy of the Problem.
+// AppendDocument call and shared by every copy of the Problem.
 type document struct {
 	once sync.Once
 	data []byte
@@ -50,22 +49,28 @@ func newProblem(p core.Problem) Problem {
 	return Problem{core: p, doc: new(document)}
 }
 
-// Document returns the problem's compact JSON document: exactly the
-// bytes json.Compact makes of WriteProblem's output, which is what the
-// solve client sends. The first call encodes the document and keeps
-// it; later calls, on this Problem or on any copy of it, return it
-// without encoding again. The returned slice is the caller's own. The
-// zero Problem has no document and reports an error.
-func (p Problem) Document() ([]byte, error) {
+// AppendDocument appends the problem's compact JSON document to dst
+// and returns the extended slice: exactly the bytes json.Compact makes
+// of WriteProblem's output, which is what the solve client sends. The
+// first call encodes the document and keeps it; later calls, on this
+// Problem or on any copy of it, copy it without encoding again, so a
+// caller building a request body copies the document once, straight
+// into the body. The zero Problem has no document and reports an
+// error, leaving dst as it was.
+func (p Problem) AppendDocument(dst []byte) ([]byte, error) {
 	if p.doc == nil {
-		return sysio.MarshalProblem(p.core)
+		doc, err := sysio.MarshalProblem(p.core)
+		if err != nil {
+			return dst, err
+		}
+		return append(dst, doc...), nil
 	}
 	d := p.doc
 	d.once.Do(func() { d.data, d.err = sysio.MarshalProblem(p.core) })
 	if d.err != nil {
-		return nil, d.err
+		return dst, d.err
 	}
-	return bytes.Clone(d.data), nil
+	return append(dst, d.data...), nil
 }
 
 // Name returns the application name.

@@ -65,19 +65,42 @@ func newJob(id, fp, traceID string, opts SolveOptions, p ftdse.Problem) *job {
 }
 
 // newCachedJob creates a job already completed from a cached result.
+// It never solves, so it shares one canceled context and one closed
+// channel with every other cached job; its cancel is a no-op that
+// cancelJob and Close may still call.
 func newCachedJob(id, fp, traceID string, opts SolveOptions, body []byte) *job {
-	j := newJob(id, fp, traceID, opts, ftdse.Problem{})
-	j.cancel()
 	now := time.Now()
-	j.mu.Lock()
-	j.state = StateDone
-	j.cached = true
-	j.finished = &now
-	j.result = body
-	close(j.done)
-	j.mu.Unlock()
-	return j
+	return &job{
+		id:          id,
+		fingerprint: fp,
+		traceID:     traceID,
+		opts:        opts,
+		submitted:   now,
+		ctx:         canceledCtx,
+		cancel:      func() {},
+		state:       StateDone,
+		cached:      true,
+		finished:    &now,
+		notify:      closedCh,
+		done:        closedCh,
+		result:      body,
+	}
 }
+
+// canceledCtx and closedCh are the context and the channels of every
+// job born terminal.
+var (
+	canceledCtx = func() context.Context {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		return ctx
+	}()
+	closedCh = func() chan struct{} {
+		ch := make(chan struct{})
+		close(ch)
+		return ch
+	}()
+)
 
 // attach records one more submission sharing this job (identical
 // in-flight submissions coalesce onto one solve).

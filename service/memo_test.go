@@ -184,6 +184,7 @@ func TestRepeatHitAllocs(t *testing.T) {
 			t.Fatalf("repeat = %d, want a cache hit", rec.Code)
 		}
 	})
+	t.Logf("a repeat hit allocates %.0f objects", allocs)
 	if allocs > 100 {
 		t.Fatalf("a repeat hit allocates %.0f objects, want at most 100", allocs)
 	}

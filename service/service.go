@@ -564,15 +564,32 @@ func (s *Service) Handler() http.Handler {
 // maxBody bounds request bodies (problem documents are small).
 const maxBody = 16 << 20
 
-// writeJSON emits a compact response. Compactness is load-bearing for
-// the cache contract: an embedded json.RawMessage result passes through
-// encoding byte-for-byte only when no re-indentation happens, keeping
-// REST answers and the SSE "done" event (also compact) identical.
+// writeJSON emits a response exactly as json.NewEncoder(w).Encode(v)
+// would, encoded by AppendJSON: a job status carries its stored result
+// document as copied bytes, so a cache hit answers with the very bytes
+// the solve stored, the same bytes the SSE "done" event carries.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	buf := bodies.Get().(*[]byte)
+	body, err := AppendJSON((*buf)[:0], v)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	if err == nil {
+		body = append(body, '\n')
+		w.Write(body)
+	}
+	if cap(body) <= maxPooledBody {
+		*buf = body
+		bodies.Put(buf)
+	}
 }
+
+// bodies recycles response bodies: a ResponseWriter, like any
+// io.Writer, does not retain what it is given.
+var bodies = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody keeps a rare large body, such as a big batch's, from
+// staying in the pool.
+const maxPooledBody = 64 << 10
 
 func writeError(w http.ResponseWriter, err error) {
 	var se *submitErr
@@ -766,10 +783,10 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeSSE emits one event; data is marshaled compactly so it stays a
-// single data: line.
+// writeSSE emits one event; data is encoded compactly by AppendJSON, so
+// it stays a single data: line.
 func writeSSE(w http.ResponseWriter, event string, v any) {
-	data, err := json.Marshal(v)
+	data, err := AppendJSON(nil, v)
 	if err != nil {
 		data = []byte(`{"error":"encoding event"}`)
 	}

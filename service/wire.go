@@ -79,10 +79,15 @@ func (o SolveOptions) normalized() (SolveOptions, error) {
 	if o.Engine == "" {
 		o.Engine = "default"
 	}
-	if _, err := ftdse.ParseEngine(o.Engine); err != nil {
-		return o, err
+	// A listed name needs no check: ParseEngine would build the engine
+	// only to discard it, on every submission.
+	engine := strings.ToLower(o.Engine)
+	if !slices.Contains(ftdse.Engines(), engine) {
+		if _, err := ftdse.ParseEngine(o.Engine); err != nil {
+			return o, err
+		}
 	}
-	o.Engine = strings.ToLower(o.Engine)
+	o.Engine = engine
 	// The seed only matters to stochastic engines, and for those 0 is
 	// documented to select the fixed seed 1 — collapse both facts so
 	// provably identical requests share one cache entry.
