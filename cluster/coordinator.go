@@ -697,6 +697,14 @@ func (c *Coordinator) conclude(j *cjob, state string, result json.RawMessage, er
 		c.wal.append(journalRecord{Type: recDone, ID: j.id, Fingerprint: j.fp,
 			TraceID: j.traceID, State: state, Result: result})
 	}
+	// The job leaves the coalescing index in the critical section that
+	// makes it terminal, so a submission admitted after a waiter wakes
+	// starts a new job (answered from the node's cache) instead of
+	// coalescing onto this one. Lock order: c.mu before j.mu.
+	c.mu.Lock()
+	if c.open[j.fp] == j {
+		delete(c.open, j.fp)
+	}
 	j.mu.Lock()
 	j.state = state
 	j.result = result
@@ -707,10 +715,6 @@ func (c *Coordinator) conclude(j *cjob, state string, result json.RawMessage, er
 	j.req = service.SubmitRequest{}
 	close(j.done)
 	j.mu.Unlock()
-	c.mu.Lock()
-	if c.open[j.fp] == j {
-		delete(c.open, j.fp)
-	}
 	c.retired = append(c.retired, j.id)
 	for len(c.jobs) > maxJobs && len(c.retired) > 0 {
 		delete(c.jobs, c.retired[0])

@@ -251,3 +251,47 @@ func TestConcludedJobDropsRequest(t *testing.T) {
 		t.Error("concluded job lost its result")
 	}
 }
+
+// TestConcludeLeavesOpenIndexBeforeWaking pins the order conclude keeps:
+// a job leaves the coalescing index before its waiters wake, so a
+// submission admitted once a wait is released starts a new job instead
+// of coalescing onto the finished one. The test holds c.mu while
+// conclude runs, so a job that became terminal while the lock is held
+// would still be in the index.
+func TestConcludeLeavesOpenIndexBeforeWaking(t *testing.T) {
+	c, err := New(Config{Nodes: []Node{{Name: "n1", URL: "http://127.0.0.1:1"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close(context.Background())
+	j := &cjob{id: "c000001", fp: "fp", state: service.StateRunning, done: make(chan struct{})}
+	c.mu.Lock()
+	c.jobs[j.id], c.open[j.fp] = j, j
+	concluded := make(chan struct{})
+	go func() {
+		defer close(concluded)
+		c.conclude(j, service.StateDone, json.RawMessage(`{}`), "")
+	}()
+	select {
+	case <-j.done:
+		coalescable := c.open[j.fp] == j
+		c.mu.Unlock()
+		if coalescable {
+			t.Fatal("the job's wait was released while the job was still open for coalescing")
+		}
+	case <-time.After(200 * time.Millisecond):
+		// conclude waits for c.mu before it makes the job terminal.
+		c.mu.Unlock()
+	}
+	<-concluded
+	select {
+	case <-j.done:
+	default:
+		t.Fatal("conclude returned without releasing the job's wait")
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.open[j.fp] != nil {
+		t.Error("a concluded job is still open for coalescing")
+	}
+}

@@ -146,16 +146,16 @@ func (sc *ExpandScratch) Expand(g *model.Graph, asgn Assignment, w *arch.WCET) (
 			if !ok {
 				return nil, fmt.Errorf("policy: process %s replica %d not mappable on node %d", proc, ri, rep.Node)
 			}
+			// Every field is written one by one: assigning a composite
+			// literal would clear and copy the whole struct first.
 			in := &sc.insts[next]
-			*in = Instance{
-				ID:          next,
-				Proc:        proc,
-				Replica:     ri,
-				Node:        rep.Node,
-				Reexec:      rep.Reexec,
-				Checkpoints: rep.Checkpoints,
-				WCET:        c,
-			}
+			in.ID = next
+			in.Proc = proc
+			in.Replica = ri
+			in.Node = rep.Node
+			in.Reexec = rep.Reexec
+			in.Checkpoints = rep.Checkpoints
+			in.WCET = c
 			in.singleReplica = single
 			ex.Instances[next] = in
 			next++

@@ -57,6 +57,51 @@ func guaranteedFirstValid(cands []candidate, budget int) (t model.Time, first po
 	return 0, NoInst, false
 }
 
+// raiseFirstValid raises gr[f], for every fault budget f = 0..k
+// (k = len(gr)-1), to the worst-case first-valid arrival of one edge's
+// remote deliveries: guaranteedFirstValid at the budget the adversary
+// has left for them. localCost is the kill cost of the receiver's local
+// replica of the sender, -1 when there is none. While f < localCost the
+// local replica survives and the edge does not constrain gr[f]; from
+// there on f-localCost faults are left for the deliveries.
+//
+// The budget only grows with f, and the optimal attack kills a prefix
+// of the deliveries in arrival order, so one sort and one scan serve
+// every f: under budget B the first valid delivery is the first whose
+// prefix sum of kill costs exceeds B. The slice is reordered in place.
+//
+// bound is the delivery that raised gr[k], NoInst when gr[k] did not
+// rise. fail is the first f under which every delivery can be killed,
+// -1 when there is none; gr is then left partly raised.
+//
+//ftdse:hotpath
+func raiseFirstValid(gr []model.Time, remotes []candidate, localCost int) (bound policy.InstID, fail int) {
+	k := len(gr) - 1
+	spent := max(localCost, 0)
+	if spent > k {
+		return NoInst, -1
+	}
+	sortCandidates(remotes)
+	bound = NoInst
+	next, killed := 0, 0 // killed is the kill cost of remotes[:next]
+	for f := spent; f <= k; f++ {
+		for next < len(remotes) && killed+remotes[next].killCost <= f-spent {
+			killed += remotes[next].killCost
+			next++
+		}
+		if next == len(remotes) {
+			return bound, f
+		}
+		if c := remotes[next]; c.avail > gr[f] {
+			gr[f] = c.avail
+			if f == k {
+				bound = c.inst
+			}
+		}
+	}
+	return bound, -1
+}
+
 // completionCand describes one replica of a process for the worst-case
 // completion analysis: its survive-row (worst-case completion under f
 // node-local faults, f = 0..k) and its kill cost.
@@ -87,6 +132,14 @@ const maxExactCompletionCands = 10
 func guaranteedCompletion(cands []completionCand, k int) (t model.Time, first policy.InstID, ok bool) {
 	n := len(cands)
 	if n == 0 {
+		return 0, NoInst, false
+	}
+	if n == 1 {
+		// One replica: the adversary kills it if it can afford to, and
+		// otherwise delays it with the whole budget.
+		if c := cands[0]; c.cost > k {
+			return c.row[k], c.inst, true
+		}
 		return 0, NoInst, false
 	}
 	if n > maxExactCompletionCands {
@@ -151,6 +204,9 @@ type nodeTimeline struct {
 	// spare/spareFull are the double buffers the DP writes into before
 	// swapping, so placements allocate no busy rows.
 	spare, spareFull []model.Time
+	// start/startFull hold one placement's start bounds per fault count
+	// (see placeRow), so placements allocate no rows for them either.
+	start, startFull []model.Time
 	// nominal is the fault-free completion of the last placed instance.
 	nominal model.Time
 	// last is the most recently placed instance, for critical-path
@@ -162,14 +218,17 @@ type nodeTimeline struct {
 }
 
 func newNodeTimeline(k int, mu model.Time, sharing bool) *nodeTimeline {
-	backing := make([]model.Time, 4*(k+1))
+	backing := make([]model.Time, 6*(k+1))
+	row := func(i int) []model.Time { return backing[i*(k+1) : (i+1)*(k+1) : (i+1)*(k+1)] }
 	return &nodeTimeline{
 		k:         k,
 		mu:        mu,
-		busy:      backing[0 : k+1 : k+1],
-		busyFull:  backing[k+1 : 2*(k+1) : 2*(k+1)],
-		spare:     backing[2*(k+1) : 3*(k+1) : 3*(k+1)],
-		spareFull: backing[3*(k+1):],
+		busy:      row(0),
+		busyFull:  row(1),
+		spare:     row(2),
+		spareFull: row(3),
+		start:     row(4),
+		startFull: row(5),
 		last:      NoInst,
 		sharing:   sharing,
 	}
@@ -245,40 +304,51 @@ type placed struct {
 // h1+h2 = h satisfies max(gr[h1], busy[h2]) ≤ max(gr[h], busy[h]).
 //
 // row backs the placement's survRow (len k+1, fully overwritten); builds
-// pass arena rows so placements allocate nothing.
-func (nt *nodeTimeline) placeRow(id policy.InstID, gr []model.Time, nr, b, d model.Time, x int, row []model.Time) placed {
+// pass arena rows so placements allocate nothing. The placement is
+// written into res, every field of it: returning the struct would build
+// it on the stack and copy it out.
+//
+//ftdse:hotpath
+func (nt *nodeTimeline) placeRow(id policy.InstID, gr []model.Time, nr, b, d model.Time, x int, row []model.Time, res *placed) {
 	k, mu := nt.k, nt.mu
 	if x > k {
 		x = k
 	}
-	res := placed{prevInst: nt.last, survRow: row}
+	res.prevInst, res.survRow = nt.last, row
 	res.nominalStart = model.MaxTime(nr, nt.nominal)
 	res.nominalFinish = res.nominalStart + b
-	base := func(h int) model.Time {
-		return model.MaxTime(gr[h], nt.busy[h])
-	}
-	// baseFull bounds the start under h node-local faults with the full
-	// budget on the inputs (for busyFull and the transmission rule S).
-	baseFull := func(h int) model.Time {
-		return model.MaxTime(gr[k], nt.busyFull[h])
+	// start[h] bounds the start under h faults; startFull[h] bounds it
+	// under h node-local faults with the full budget on the inputs (for
+	// busyFull and the transmission rule S).
+	start, startFull := nt.start, nt.startFull
+	for h := 0; h <= k; h++ {
+		start[h] = model.MaxTime(gr[h], nt.busy[h])
+		startFull[h] = model.MaxTime(gr[k], nt.busyFull[h])
 	}
 	newBusy := nt.spare
 	newBusyFull := nt.spareFull
 	var send model.Time
 	if nt.sharing {
+		// w and wFull are the maxima over g = 0..min(f, x) of
+		// start[f-g] + g·d and startFull[f-g] + g·d. While f ≤ x the
+		// window only grows, so each is its predecessor delayed by one
+		// more fault or the new bound; past x the window slides and is
+		// taken afresh.
+		var w, wFull model.Time
 		for f := 0; f <= k; f++ {
-			best := base(f) + b
-			bestFull := baseFull(f) + b
-			for g := 1; g <= f && g <= x; g++ {
-				cand := base(f-g) + b + model.Time(g)*d
-				if cand > best {
-					best = cand
-				}
-				candFull := baseFull(f-g) + b + model.Time(g)*d
-				if candFull > bestFull {
-					bestFull = candFull
+			switch {
+			case f == 0:
+				w, wFull = start[0], startFull[0]
+			case f <= x:
+				w, wFull = max(start[f], w+d), max(startFull[f], wFull+d)
+			default:
+				w, wFull = start[f], startFull[f]
+				for g := 1; g <= x; g++ {
+					w = max(w, start[f-g]+model.Time(g)*d)
+					wFull = max(wFull, startFull[f-g]+model.Time(g)*d)
 				}
 			}
+			best, bestFull := w+b, wFull+b
 			res.survRow[f] = best
 			newBusy[f] = best
 			newBusyFull[f] = bestFull
@@ -286,11 +356,11 @@ func (nt *nodeTimeline) placeRow(id policy.InstID, gr []model.Time, nr, b, d mod
 				send = bestFull
 			}
 			if f > x {
-				die := base(f-x-1) + b + model.Time(x)*d + mu
+				die := start[f-x-1] + b + model.Time(x)*d + mu
 				if die > newBusy[f] {
 					newBusy[f] = die
 				}
-				dieFull := baseFull(f-x-1) + b + model.Time(x)*d + mu
+				dieFull := startFull[f-x-1] + b + model.Time(x)*d + mu
 				if dieFull > newBusyFull[f] {
 					newBusyFull[f] = dieFull
 				}
@@ -300,8 +370,8 @@ func (nt *nodeTimeline) placeRow(id policy.InstID, gr []model.Time, nr, b, d mod
 		// Private slack: the instance always reserves its own full
 		// worst-case re-execution window, independent of the budget
 		// spent elsewhere (naive baseline without slack sharing).
-		fin := base(k) + b + model.Time(x)*d
-		finFull := baseFull(k) + b + model.Time(x)*d
+		fin := start[k] + b + model.Time(x)*d
+		finFull := startFull[k] + b + model.Time(x)*d
 		for f := 0; f <= k; f++ {
 			res.survRow[f] = fin
 			newBusy[f] = fin
@@ -317,7 +387,6 @@ func (nt *nodeTimeline) placeRow(id policy.InstID, gr []model.Time, nr, b, d mod
 	nt.busyFull, nt.spareFull = newBusyFull, nt.busyFull
 	nt.nominal = res.nominalFinish
 	nt.last = id
-	return res
 }
 
 // reset returns the timeline to its initial (empty) state for a new

@@ -17,7 +17,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/ftdse/internal/arch"
 	"repro/ftdse/internal/fault"
@@ -69,12 +71,12 @@ type Input struct {
 
 // Static is the assignment-independent part of a scheduling context.
 type Static struct {
-	adj  *model.Adjacency // the graph's own adjacency, shared read-only
-	prio []model.Time     // bottom levels, indexed by ProcID
+	adj   *model.Adjacency // the graph's own adjacency, shared read-only
+	order []model.ProcID   // the list order every build places processes in
 }
 
 // NewStatic validates the assignment-independent inputs and precomputes
-// the priorities for repeated Build calls.
+// the list order for repeated Build calls.
 func NewStatic(in Input) (*Static, error) {
 	probe := in
 	probe.Static = nil
@@ -82,7 +84,30 @@ func NewStatic(in Input) (*Static, error) {
 	if err := probe.validateStatic(); err != nil {
 		return nil, err
 	}
-	return &Static{adj: in.Graph.Adjacency(), prio: BottomLevels(in)}, nil
+	return &Static{adj: in.Graph.Adjacency(), order: listOrder(in.Graph, BottomLevels(in))}, nil
+}
+
+// listOrder is the order of Section 5.1's ready list: repeatedly take
+// the ready process with the highest priority (ties: smaller ProcID).
+// A process's bottom level exceeds each successor's by at least its own
+// average WCET, which is positive on a validated input (every process
+// has an allowed node, and arch.WCET holds positive times only), so
+// every process sorts after its predecessors: the highest-priority
+// process not yet taken is always ready, and the ready list's order is
+// the priority order itself. It depends on the graph and the bus alone,
+// never on a design, so every build over one Static walks it.
+func listOrder(g *model.Graph, prio []model.Time) []model.ProcID {
+	order := make([]model.ProcID, 0, g.NumProcesses())
+	for _, p := range g.Processes() {
+		order = append(order, p.ID)
+	}
+	slices.SortFunc(order, func(a, b model.ProcID) int {
+		if c := cmp.Compare(prio[b], prio[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return order
 }
 
 // validateStatic checks the assignment-independent invariants.

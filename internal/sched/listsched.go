@@ -53,7 +53,7 @@ func BuildInto(sc *Scratch, in Input) (*Schedule, error) {
 type builder struct {
 	s         *Schedule
 	adj       *model.Adjacency
-	prio      []model.Time    // by ProcID
+	order     []model.ProcID  // the Static's list order
 	timelines []*nodeTimeline // by NodeID
 	labels    bool            // format transmission display labels
 
@@ -62,8 +62,6 @@ type builder struct {
 	msgs    []Broadcast  // Item.Msgs backing, handed out in placement order
 	nextMsg int
 
-	indeg  []int            // by ProcID
-	ready  []model.ProcID   // one entry per process
 	gr     []model.Time     // k+1
 	remote []candidate      // one entry per replica of a process
 	compl  []completionCand // one entry per replica of a process
@@ -88,57 +86,18 @@ func (b *builder) rowFor(id policy.InstID, k int) []model.Time {
 	return b.rows[i : i+k+1 : i+k+1]
 }
 
-// run drives the ready-list loop: in every iteration the ready process
-// with the highest partial-critical-path priority is extracted and all
-// its replica instances are placed; its outbound broadcast messages are
-// then reserved on the bus at the transparent (worst-case surviving)
-// send times.
+// run places the processes in the list order of the Static (Section
+// 5.1's ready list, extracted once per Static): all replica instances of
+// each process are placed, then its outbound broadcast messages are
+// reserved on the bus at the transparent (worst-case surviving) send
+// times.
 //
 //ftdse:hotpath
 func (b *builder) run() error {
-	g := b.s.In.Graph
-	adj, prio, indeg, ready := b.adj, b.prio, b.indeg, b.ready
-
-	nready := 0
-	for _, p := range g.Processes() {
-		indeg[p.ID] = len(adj.Predecessors(p.ID))
-		if indeg[p.ID] == 0 {
-			ready[nready] = p.ID
-			nready++
-		}
-	}
-	scheduled := 0
-	for nready > 0 {
-		// Extract the highest-priority ready process (ties: smaller ID).
-		// The order is total, so the list's own order is irrelevant and
-		// extraction swaps the last entry into the hole.
-		best := 0
-		for i := 1; i < nready; i++ {
-			pi, pb := prio[ready[i]], prio[ready[best]]
-			if pi > pb || (pi == pb && ready[i] < ready[best]) {
-				best = i
-			}
-		}
-		id := ready[best]
-		nready--
-		ready[best] = ready[nready]
-
-		if err := b.placeProcess(adj.Process(id)); err != nil {
+	for _, id := range b.order {
+		if err := b.placeProcess(b.adj.Process(id)); err != nil {
 			return err
 		}
-		scheduled++
-
-		// Every process enters the list once, so it never overflows.
-		for _, e := range adj.Successors(id) {
-			indeg[e.Dst]--
-			if indeg[e.Dst] == 0 {
-				ready[nready] = e.Dst
-				nready++
-			}
-		}
-	}
-	if scheduled != g.NumProcesses() {
-		return fmt.Errorf("sched: scheduled %d of %d processes (cycle?)", scheduled, g.NumProcesses())
 	}
 	b.finalize()
 	return nil
@@ -161,9 +120,10 @@ func (b *builder) placeProcess(p *model.Process) error {
 			return err
 		}
 		nt := b.timelines[inst.Node]
-		pl := nt.placeRow(inst.ID, gr, nr,
+		var pl placed
+		nt.placeRow(inst.ID, gr, nr,
 			inst.ExecTime(in.Faults.Chi), inst.RecoverTime(in.Faults.Mu), inst.Reexec,
-			b.rowFor(inst.ID, k))
+			b.rowFor(inst.ID, k), &pl)
 		item := b.itemFor(inst.ID, len(succs))
 		item.Inst = inst
 		item.NominalStart = pl.nominalStart
@@ -189,24 +149,22 @@ func (b *builder) placeProcess(p *model.Process) error {
 
 	// Per-process worst-case completion: the adversarial first-valid
 	// completion over the replicas of p.
+	// Here and below, arena slots are written field by field: assigning
+	// a composite literal builds it on the stack and copies it over.
 	cands := b.compl[:len(reps)]
 	nominal := model.Infinity
 	for i, inst := range reps {
 		it := b.s.items[inst.ID]
-		cands[i] = completionCand{row: it.wcRow, cost: inst.Reexec + 1, inst: inst.ID}
+		c := &cands[i]
+		c.row, c.cost, c.inst = it.wcRow, inst.Reexec+1, inst.ID
 		nominal = model.MinTime(nominal, it.NominalFinish)
 	}
 	done, bindOn, ok := guaranteedCompletion(cands, k)
 	if !ok {
 		return fmt.Errorf("sched: policy of process %s does not tolerate %d faults", p, k)
 	}
-	b.s.procDone[p.ID] = procResult{
-		guaranteed: done,
-		nominal:    nominal,
-		bindOn:     bindOn,
-		deadline:   p.Deadline,
-		placed:     true,
-	}
+	r := &b.s.procDone[p.ID]
+	r.guaranteed, r.nominal, r.bindOn, r.deadline, r.placed = done, nominal, bindOn, p.Deadline, true
 
 	// Broadcast messages: one transmission per (sender instance,
 	// outgoing edge) pair that has at least one remote receiver. The
@@ -266,10 +224,7 @@ func (b *builder) placeProcess(p *model.Process) error {
 //
 //ftdse:hotpath
 func (b *builder) readiness(p *model.Process, inst *policy.Instance) (gr []model.Time, nr model.Time, bindOn policy.InstID, bindKind BindKind, err error) {
-	in := b.s.In
 	ex := b.s.Ex
-	k := in.Faults.K
-
 	gr = b.gr
 	for f := range gr {
 		gr[f] = p.Release
@@ -302,7 +257,6 @@ func (b *builder) readiness(p *model.Process, inst *policy.Instance) (gr []model
 			nremote++
 			nomBest = model.MinTime(nomBest, tr.Arrival)
 		}
-		remotes = remotes[:nremote]
 		nr = model.MaxTime(nr, nomBest)
 
 		// gr[f]: the worst-case first-valid arrival when the adversary
@@ -311,25 +265,13 @@ func (b *builder) readiness(p *model.Process, inst *policy.Instance) (gr []model
 		// finishes before the node is free again), so the edge only
 		// constrains gr in scenarios where the local replica is killed —
 		// or always, when there is no local replica.
-		for f := 0; f <= k; f++ {
-			budget := f
-			if localCost >= 0 {
-				if localCost > f {
-					continue // local replica survives under f faults
-				}
-				budget = f - localCost
-			}
-			t, first, ok := guaranteedFirstValid(remotes, budget)
-			if !ok {
-				return nil, 0, NoInst, BindRelease,
-					fmt.Errorf("sched: inputs of %s over edge %v not guaranteed under %d faults", inst, e, f)
-			}
-			if t > gr[f] {
-				gr[f] = t
-				if f == k {
-					bindOn, bindKind = first, BindInput
-				}
-			}
+		bound, fail := raiseFirstValid(gr, remotes[:nremote], localCost)
+		if fail >= 0 {
+			return nil, 0, NoInst, BindRelease,
+				fmt.Errorf("sched: inputs of %s over edge %v not guaranteed under %d faults", inst, e, fail)
+		}
+		if bound != NoInst {
+			bindOn, bindKind = bound, BindInput
 		}
 	}
 	return gr, nr, bindOn, bindKind, nil

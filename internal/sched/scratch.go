@@ -76,8 +76,6 @@ func (sc *Scratch) prepare(in Input, ex *policy.Expansion, st *Static) *builder 
 	b.remote = resize(b.remote, maxReps)
 	b.compl = resize(b.compl, maxReps)
 	b.gr = resize(b.gr, k+1)
-	b.indeg = resize(b.indeg, st.adj.NumIDs())
-	b.ready = resize(b.ready, g.NumProcesses())
 	sc.procDone = resize(sc.procDone, st.adj.NumIDs())
 	clear(sc.procDone)
 
@@ -121,7 +119,7 @@ func (sc *Scratch) prepare(in Input, ex *policy.Expansion, st *Static) *builder 
 	}
 	b.s = &sc.sched
 	b.adj = st.adj
-	b.prio = st.prio
+	b.order = st.order
 	b.timelines = sc.timelines
 	b.labels = sc.labels
 	return b

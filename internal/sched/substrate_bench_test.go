@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/ftdse/internal/arch"
+	"repro/ftdse/internal/core"
 	"repro/ftdse/internal/fault"
 	"repro/ftdse/internal/gen"
 	"repro/ftdse/internal/model"
@@ -80,15 +81,39 @@ func BenchmarkScheduler(b *testing.B) {
 	}
 }
 
+// searchedInput is the scheduling input of a design the search costs:
+// the MXR design core.Optimize returns, with the bus configuration it
+// settled on, for a generated application of the given size (µ = 5 ms,
+// 20 tabu iterations, one worker). A candidate the search costs differs
+// from it by one move, so its policy mix (few replicas) is the one the
+// search meets, unlike schedulerInput's synthetic assignment.
+func searchedInput(b *testing.B, procs, nodes, k int) sched.Input {
+	b.Helper()
+	prob := gen.Problem(gen.Spec{Procs: procs, Nodes: nodes, Seed: 5},
+		fault.Model{K: k, Mu: model.Ms(5)})
+	opts := core.DefaultOptions(core.MXR)
+	opts.MaxIterations, opts.Workers = 20, 1
+	res, err := core.Optimize(prob, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := res.Schedule.In
+	st, err := sched.NewStatic(in)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in.Static = st
+	return in
+}
+
 // BenchmarkSchedulerScratch measures the same pass through a warm
 // scratch arena (sched.BuildInto), the path the optimizer's move
-// evaluator takes for every candidate.
+// evaluator takes for every candidate: on schedulerInput's synthetic
+// designs ("Nprocs") and on designs the search returns for inputs
+// shaped like perfbench's dse workloads ("searched/Nprocs").
 func BenchmarkSchedulerScratch(b *testing.B) {
-	for _, dim := range []struct{ procs, nodes, k int }{
-		{20, 2, 3}, {60, 4, 5}, {100, 6, 7},
-	} {
-		in := schedulerInput(b, dim.procs, dim.nodes, dim.k)
-		b.Run(fmt.Sprintf("%dprocs", dim.procs), func(b *testing.B) {
+	run := func(name string, in sched.Input) {
+		b.Run(name, func(b *testing.B) {
 			sc := sched.NewScratch()
 			for i := 0; i < b.N; i++ {
 				if _, err := sched.BuildInto(sc, in); err != nil {
@@ -96,5 +121,15 @@ func BenchmarkSchedulerScratch(b *testing.B) {
 				}
 			}
 		})
+	}
+	for _, dim := range []struct{ procs, nodes, k int }{
+		{20, 2, 3}, {60, 4, 5}, {100, 6, 7},
+	} {
+		run(fmt.Sprintf("%dprocs", dim.procs), schedulerInput(b, dim.procs, dim.nodes, dim.k))
+	}
+	for _, dim := range []struct{ procs, nodes, k int }{
+		{20, 2, 3}, {40, 3, 4}, {60, 4, 5},
+	} {
+		run(fmt.Sprintf("searched/%dprocs", dim.procs), searchedInput(b, dim.procs, dim.nodes, dim.k))
 	}
 }

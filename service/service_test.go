@@ -266,14 +266,27 @@ func parseSSE(t *testing.T, url, id string) ([]service.ProgressEvent, service.Jo
 // TestSSEStreamsMonotonicImprovements verifies the anytime interface
 // for every strategy: the event stream delivers every incumbent in
 // order, each strictly better than the last in the (tardiness,
-// makespan) order, and closes with the final status.
+// makespan) order, and closes with the final status. A slow job holds
+// the single worker while the solve is submitted, so the submission is
+// answered 202 however fast the solve runs; then the slow job is
+// canceled.
 func TestSSEStreamsMonotonicImprovements(t *testing.T) {
 	_, srv := newService(t, service.Config{PoolWorkers: 1, QueueSize: 4})
-	for _, strategy := range ftdse.StrategyNames() {
+	for i, strategy := range ftdse.StrategyNames() {
 		t.Run(strategy, func(t *testing.T) {
+			slow := postSolve(t, srv.URL, submitBody(t, genProblem(24, int64(40+i)), slowOpts), http.StatusAccepted)
+			waitState(t, srv.URL, slow.ID, 30*time.Second, func(st service.JobStatus) bool {
+				return st.State == service.StateRunning
+			})
 			st := postSolve(t, srv.URL,
 				submitBody(t, genProblem(16, 5), service.SolveOptions{Strategy: strategy, MaxIterations: 60, Workers: 1}),
 				http.StatusAccepted)
+			req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/jobs/"+slow.ID, nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatalf("DELETE: %v", err)
+			}
+			resp.Body.Close()
 
 			events, final := parseSSE(t, srv.URL, st.ID)
 			if len(events) == 0 {
