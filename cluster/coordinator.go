@@ -16,12 +16,6 @@ import (
 )
 
 const (
-	// problemMemoSize bounds the documents the coordinator's ProblemMemo
-	// remembers: the service's default result cache size.
-	problemMemoSize = 128
-	// maxJobs bounds the terminal jobs retained for status queries; the
-	// oldest are forgotten first.
-	maxJobs = 4096
 	// stealMargin is the queue-depth advantage (owner depth minus the
 	// lightest ready node's depth) that triggers work stealing when the
 	// shard owner is busy.
@@ -194,7 +188,7 @@ func New(cfg Config) (*Coordinator, error) {
 		ring:    r,
 		hc:      &http.Client{Timeout: httpTimeout},
 		members: members,
-		memo:    service.NewProblemMemo(problemMemoSize),
+		memo:    service.NewProblemMemo(service.DefaultCacheSize),
 		jobs:    make(map[string]*cjob),
 		open:    make(map[string]*cjob),
 		ckpts:   make(map[string]json.RawMessage),
@@ -710,16 +704,12 @@ func (c *Coordinator) conclude(j *cjob, state string, result json.RawMessage, er
 	j.result = result
 	j.errMsg = errMsg
 	// Only dispatch reads the request, and never for a terminal job;
-	// retained terminal jobs (up to maxJobs) keep their result
+	// retained terminal jobs (see service.Retire) keep their result
 	// only. Journal replay reads the journal, not this field.
 	j.req = service.SubmitRequest{}
 	close(j.done)
 	j.mu.Unlock()
-	c.retired = append(c.retired, j.id)
-	for len(c.jobs) > maxJobs && len(c.retired) > 0 {
-		delete(c.jobs, c.retired[0])
-		c.retired = c.retired[1:]
-	}
+	c.retired = service.Retire(c.jobs, c.retired, j.id)
 	c.mu.Unlock()
 	c.met.jobDuration.Observe(time.Since(j.submitted).Seconds())
 	switch state {

@@ -3,11 +3,9 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/ftdse"
@@ -16,7 +14,7 @@ import (
 	"repro/ftdse/service"
 )
 
-// The coordinator speaks the ftdsed wire protocol on its job surface —
+// The coordinator mounts the ftdsed job surface (service.MountJobs) —
 // POST /solve, POST /solve/batch, GET/DELETE /jobs/{id},
 // GET /jobs/{id}/events — so the typed client package works against it
 // unchanged; jobs just run on whichever node the shard map picks. On
@@ -25,17 +23,10 @@ import (
 // fetch a prior incumbent to warm-start a similar problem), and
 // GET /cluster/shards (the shard map report).
 
-// maxBody bounds request bodies, matching the node's limit.
-const maxBody = 16 << 20
-
 // Handler returns the coordinator's HTTP API.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /solve", c.handleSolve)
-	mux.HandleFunc("POST /solve/batch", c.handleBatch)
-	mux.HandleFunc("GET /jobs/{id}", c.handleJob)
-	mux.HandleFunc("DELETE /jobs/{id}", c.handleCancel)
-	mux.HandleFunc("GET /jobs/{id}/events", c.handleEvents)
+	service.MountJobs(mux, coordJobs{c}, c.memo, 0)
 	mux.HandleFunc("POST /cluster/checkpoints", c.handleCheckpointPush)
 	mux.HandleFunc("GET /cluster/checkpoints/{fp}", c.handleCheckpointGet)
 	mux.HandleFunc("GET /cluster/shards", c.handleShards)
@@ -45,66 +36,30 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// writeJSON emits a response exactly as json.NewEncoder(w).Encode(v)
-// would, encoded by service.AppendJSON: the result document a node sent
-// is forwarded as it arrived, not encoded again.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	body, err := service.AppendJSON(nil, v)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err == nil {
-		w.Write(append(body, '\n'))
-	}
-}
+// coordJobs is the coordinator's side of the job surface.
+type coordJobs struct{ *Coordinator }
 
-func writeBadRequest(w http.ResponseWriter, err error) {
-	writeJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: err.Error()})
-}
-
-// validate checks a submission the way a node would — the problem
-// document parses, the options normalize, a warm start (if any) is a
-// well-formed checkpoint — and returns its fingerprint. Validating at
-// the edge keeps garbage out of the journal: every journaled submit
-// record is dispatchable. The document goes through the coordinator's
-// ProblemMemo, so a repeated one is neither decoded nor re-encoded.
-func (c *Coordinator) validate(req service.SubmitRequest) (string, error) {
-	if len(req.Problem) == 0 {
-		return "", errors.New("missing problem document")
-	}
-	if req.TraceID != "" && !obs.ValidTraceID(req.TraceID) {
-		return "", fmt.Errorf("invalid trace id %q", req.TraceID)
-	}
-	_, fp, err := c.memo.Resolve(req.Problem, req.Options)
-	if err != nil {
-		return "", err
-	}
-	if len(req.WarmStart) > 0 {
-		if _, err := ftdse.ReadCheckpoint(bytes.NewReader(req.WarmStart)); err != nil {
-			return "", fmt.Errorf("warm start: %w", err)
-		}
-	}
-	return fp, nil
-}
-
-// admit journals and registers a set of validated submissions
+// Admit journals and registers a set of checked submissions
 // atomically: duplicates of an open fingerprint coalesce onto the
 // existing job, and either every genuinely new job fits under
 // MaxPending or the whole set is rejected (all-or-nothing, like the
-// node's queue). The journal append happens under the admission lock —
-// a submit record must hit disk before its 202 — which serializes
-// fsyncs; submission is a control-plane operation, the solves are the
-// work, so the ceiling is acceptable.
-func (c *Coordinator) admit(reqs []service.SubmitRequest, fps []string) ([]*cjob, error) {
+// node's queue). Each journaled submission is as the client sent it,
+// its trace ID filled in, so every submit record is dispatchable. The
+// journal append happens under the admission lock — a submit record
+// must hit disk before its 202 — which serializes fsyncs; submission is
+// a control-plane operation, the solves are the work, so the ceiling is
+// acceptable.
+func (c coordJobs) Admit(preps []service.Prepared) ([]*cjob, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, errors.New("coordinator closed")
+		return nil, &service.SubmitError{Code: http.StatusServiceUnavailable, Err: service.ErrDraining}
 	}
-	fresh := make(map[string]bool, len(reqs))
+	fresh := make(map[string]bool, len(preps))
 	need := 0
-	for i := range reqs {
-		if c.open[fps[i]] == nil && !fresh[fps[i]] {
-			fresh[fps[i]] = true
+	for _, p := range preps {
+		if c.open[p.Fingerprint] == nil && !fresh[p.Fingerprint] {
+			fresh[p.Fingerprint] = true
 			need++
 		}
 	}
@@ -112,39 +67,37 @@ func (c *Coordinator) admit(reqs []service.SubmitRequest, fps []string) ([]*cjob
 		c.met.rejected.Add(int64(need))
 		c.log.Warn("admission cap reached, rejecting batch",
 			"rejected", need, "open_jobs", len(c.open), "max_pending", c.cfg.MaxPending)
-		return nil, errTooManyJobs
+		return nil, &service.SubmitError{Code: http.StatusTooManyRequests,
+			RetryAfter: 5 * time.Second, Err: errors.New("too many pending jobs")}
 	}
-	jobs := make([]*cjob, len(reqs))
-	var started []*cjob
-	for i, req := range reqs {
-		if j := c.open[fps[i]]; j != nil {
+	jobs := make([]*cjob, len(preps))
+	for i, p := range preps {
+		if j := c.open[p.Fingerprint]; j != nil {
 			// Coalesced submissions adopt the open job's trace ID (first
 			// submission wins), matching the node's contract.
 			c.met.coalesced.Inc()
 			jobs[i] = j
 			continue
 		}
-		// Mint the trace identity before journaling so the submit record —
-		// and every re-dispatch after a restart — carries it.
-		if req.TraceID == "" {
-			req.TraceID = obs.NewTraceID()
-		}
 		c.nextID++
 		j := &cjob{
-			id: fmt.Sprintf("c%06d", c.nextID), fp: fps[i], req: req,
-			traceID:   req.TraceID,
+			id: fmt.Sprintf("c%06d", c.nextID), fp: p.Fingerprint, req: p.Request,
+			traceID:   p.Request.TraceID,
 			submitted: time.Now(),
 			state:     service.StateQueued,
 			done:      make(chan struct{}),
 		}
 		if c.wal != nil {
-			body, err := json.Marshal(req)
+			body, err := service.AppendRequest(nil, p.Request, nil)
 			if err == nil {
 				err = c.wal.append(journalRecord{Type: recSubmit, ID: j.id, Fingerprint: j.fp, Request: body})
 			}
 			if err != nil {
-				// Never acknowledge a job that would not survive a restart.
-				return nil, fmt.Errorf("journaling submission: %w", err)
+				// Never acknowledge a job that would not survive a
+				// restart. Batch-mates journaled before it are durable
+				// and already running.
+				return nil, &service.SubmitError{Code: http.StatusInternalServerError,
+					Err: fmt.Errorf("journaling submission: %w", err)}
 			}
 		}
 		c.met.submitted.Inc()
@@ -153,136 +106,40 @@ func (c *Coordinator) admit(reqs []service.SubmitRequest, fps []string) ([]*cjob
 		c.jobs[j.id] = j
 		c.open[j.fp] = j
 		jobs[i] = j
-		started = append(started, j)
-	}
-	for _, j := range started {
 		c.spawnMonitor(j)
 	}
 	return jobs, nil
 }
 
-// errTooManyJobs is the admission-cap rejection.
-var errTooManyJobs = errors.New("too many pending jobs")
-
-func (c *Coordinator) writeSubmitError(w http.ResponseWriter, err error) {
-	if errors.Is(err, errTooManyJobs) {
-		w.Header().Set("Retry-After", "5")
-		writeJSON(w, http.StatusTooManyRequests,
-			service.ErrorResponse{Error: err.Error(), RetryAfterS: 5})
-		return
-	}
-	writeBadRequest(w, err)
-}
-
-func (c *Coordinator) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var req service.SubmitRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
-		writeBadRequest(w, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	if req.TraceID == "" {
-		req.TraceID = r.Header.Get(obs.TraceHeader)
-	}
-	fp, err := c.validate(req)
-	if err != nil {
-		writeBadRequest(w, err)
-		return
-	}
-	jobs, err := c.admit([]service.SubmitRequest{req}, []string{fp})
-	if err != nil {
-		c.writeSubmitError(w, err)
-		return
-	}
-	j := jobs[0]
-	w.Header().Set(obs.TraceHeader, j.traceID)
-	if wait, _ := strconv.ParseBool(r.URL.Query().Get("wait")); wait {
-		select {
-		case <-j.done:
-		case <-r.Context().Done():
-			// The submission stands — the cluster's contract is zero lost
-			// jobs, so a disconnected waiter does not cancel anything.
-			return
-		}
-	}
-	st := j.status()
-	code := http.StatusAccepted
-	if service.TerminalState(st.State) {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, st)
-}
-
-func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req service.BatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
-		writeBadRequest(w, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	if len(req.Jobs) == 0 {
-		writeBadRequest(w, errors.New("empty batch"))
-		return
-	}
-	fps := make([]string, len(req.Jobs))
-	for i, jr := range req.Jobs {
-		fp, err := c.validate(jr)
-		if err != nil {
-			writeBadRequest(w, fmt.Errorf("batch job %d: %w", i, err))
-			return
-		}
-		fps[i] = fp
-	}
-	jobs, err := c.admit(req.Jobs, fps)
-	if err != nil {
-		c.writeSubmitError(w, err)
-		return
-	}
-	resp := service.BatchResponse{Jobs: make([]service.JobStatus, len(jobs))}
-	for i, j := range jobs {
-		resp.Jobs[i] = j.status()
-	}
-	writeJSON(w, http.StatusAccepted, resp)
-}
-
-// lookup resolves {id}, answering 404 itself when absent.
-func (c *Coordinator) lookup(w http.ResponseWriter, r *http.Request) *cjob {
+func (c coordJobs) Job(id string) (*cjob, bool) {
 	c.mu.Lock()
-	j := c.jobs[r.PathValue("id")]
-	c.mu.Unlock()
-	if j == nil {
-		writeJSON(w, http.StatusNotFound,
-			service.ErrorResponse{Error: "unknown job " + r.PathValue("id")})
-	}
-	return j
+	defer c.mu.Unlock()
+	j := c.jobs[id]
+	return j, j != nil
 }
 
-func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	if j := c.lookup(w, r); j != nil {
-		writeJSON(w, http.StatusOK, j.status())
-	}
-}
+func (coordJobs) Status(j *cjob) service.JobStatus { return j.status() }
 
-func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j := c.lookup(w, r)
-	if j == nil {
-		return
-	}
+func (coordJobs) Done(j *cjob) <-chan struct{} { return j.done }
+
+// Leave keeps the job running: the cluster's contract is zero lost
+// jobs, so a client that stops waiting cancels nothing.
+func (coordJobs) Leave(*cjob) {}
+
+// Cancel marks the job canceled and forwards the cancel to its node;
+// the monitor's poll observes the remote terminal state and concludes
+// the job (cancelReq set, so the remote cancellation is final rather
+// than a failover signal). With no node yet, the monitor concludes the
+// job itself, or the dispatch in flight forwards the cancel once the
+// node accepts.
+func (c coordJobs) Cancel(ctx context.Context, j *cjob) {
 	j.mu.Lock()
 	j.cancelReq = true
 	node, remoteID := j.node, j.remoteID
 	j.mu.Unlock()
 	if node != "" {
-		// Forward the cancel; the monitor's poll observes the remote
-		// terminal state and concludes the job (cancelReq set, so the
-		// remote cancellation is final rather than a failover signal).
-		// With no node yet, the monitor concludes the job itself, or the
-		// dispatch in flight forwards the cancel once the node accepts.
-		c.cancelRemote(r.Context(), node, remoteID)
+		c.cancelRemote(ctx, node, remoteID)
 	}
-	select {
-	case <-j.done:
-	case <-r.Context().Done():
-	}
-	writeJSON(w, http.StatusOK, j.status())
 }
 
 // cancelRemote forwards a cancel to the node running a job.
@@ -300,49 +157,30 @@ func (c *Coordinator) cancelRemote(ctx context.Context, node, remoteID string) {
 	}
 }
 
-// handleEvents re-serves a job's improvement stream from whichever node
+// Follow re-serves a job's improvement stream from whichever node
 // currently runs it, surviving failover: when the solve moves, the
 // proxy re-subscribes on the new node. A resumed attempt replays its
 // own history (starting from the warm-started incumbent), so the proxy
-// applies the same monotone gate the solver applies internally —
-// only events that improve on the best cost already delivered are
+// applies the same monotone gate the solver applies internally — only
+// events that improve on the best cost already delivered are
 // forwarded — and the merged stream stays monotone like a node's own.
-func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := c.lookup(w, r)
-	if j == nil {
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusNotImplemented, service.ErrorResponse{Error: "streaming unsupported"})
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-
-	gate := newMonotoneGate()
+func (c coordJobs) Follow(ctx context.Context, j *cjob, send func(...service.ProgressEvent)) bool {
+	var gate monotoneGate
 	for {
 		j.mu.Lock()
 		terminal := service.TerminalState(j.state)
 		node, remoteID := j.node, j.remoteID
 		j.mu.Unlock()
 		if terminal {
-			writeSSE(w, "done", j.status())
-			fl.Flush()
-			return
+			return true
 		}
 		if node != "" {
 			if m := c.members[node]; m != nil {
-				nc := client.New(m.url, c.hc)
-				// Stream one attempt; errors (node died, job re-mapped) fall
-				// through to the outer loop, which waits and re-subscribes.
-				nc.Stream(r.Context(), remoteID, func(ev service.ProgressEvent) {
+				// Stream one attempt; errors (node died, job re-mapped)
+				// fall through to the wait below, then a re-subscription.
+				client.New(m.url, c.hc).Stream(ctx, remoteID, func(ev service.ProgressEvent) {
 					if gate.admit(ev) {
-						writeSSE(w, "improvement", ev)
-						fl.Flush()
+						send(ev)
 					}
 				})
 			}
@@ -352,38 +190,34 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-j.done:
 		case <-time.After(c.cfg.PollInterval):
-		case <-r.Context().Done():
-			return
+		case <-ctx.Done():
+			return false
 		}
 	}
 }
 
-// monotoneGate admits only strictly improving costs, in the solver's
-// cost order (tardiness first, then makespan).
+// cost is an incumbent's cost in the solver's order: tardiness first,
+// then makespan.
+type cost struct{ tard, mksp float64 }
+
+// less reports whether a is strictly better than b.
+func (a cost) less(b cost) bool {
+	return a.tard < b.tard || (a.tard == b.tard && a.mksp < b.mksp)
+}
+
+// monotoneGate admits only strictly improving costs.
 type monotoneGate struct {
 	has  bool
-	tard float64
-	mksp float64
+	best cost
 }
-
-func newMonotoneGate() *monotoneGate { return &monotoneGate{} }
 
 func (g *monotoneGate) admit(ev service.ProgressEvent) bool {
-	if g.has && (ev.TardinessMs > g.tard ||
-		(ev.TardinessMs == g.tard && ev.MakespanMs >= g.mksp)) {
+	c := cost{ev.TardinessMs, ev.MakespanMs}
+	if g.has && !c.less(g.best) {
 		return false
 	}
-	g.has, g.tard, g.mksp = true, ev.TardinessMs, ev.MakespanMs
+	g.has, g.best = true, c
 	return true
-}
-
-// writeSSE emits one event, data encoded compactly by service.AppendJSON.
-func writeSSE(w http.ResponseWriter, event string, v any) {
-	data, err := service.AppendJSON(nil, v)
-	if err != nil {
-		data = []byte(`{"error":"encoding event"}`)
-	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
 }
 
 // handleCheckpointPush ingests one search checkpoint from a node. The
@@ -392,17 +226,17 @@ func writeSSE(w http.ResponseWriter, event string, v any) {
 // a warm one) is dropped, so warm starts never get worse.
 func (c *Coordinator) handleCheckpointPush(w http.ResponseWriter, r *http.Request) {
 	var push service.CheckpointPush
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&push); err != nil {
-		writeBadRequest(w, fmt.Errorf("decoding checkpoint push: %w", err))
+	if err := service.DecodeBody(w, r, &push); err != nil {
+		service.WriteError(w, fmt.Errorf("decoding checkpoint push: %w", err))
 		return
 	}
 	if push.Fingerprint == "" {
-		writeBadRequest(w, errors.New("checkpoint push without fingerprint"))
+		service.WriteError(w, errors.New("checkpoint push without fingerprint"))
 		return
 	}
 	ck, err := ftdse.ReadCheckpoint(bytes.NewReader(push.Checkpoint))
 	if err != nil {
-		writeBadRequest(w, fmt.Errorf("checkpoint document: %w", err))
+		service.WriteError(w, fmt.Errorf("checkpoint document: %w", err))
 		return
 	}
 	c.ckptMu.Lock()
@@ -411,8 +245,11 @@ func (c *Coordinator) handleCheckpointPush(w http.ResponseWriter, r *http.Reques
 	stored, ok := c.ckpts[push.Fingerprint]
 	c.mu.Unlock()
 	if ok {
-		if old, err := ftdse.ReadCheckpoint(bytes.NewReader(stored)); err == nil && !asGoodAs(ck, old) {
-			writeJSON(w, http.StatusOK, struct{}{})
+		// A tie admits the push: a later checkpoint of the same
+		// fingerprint carries more elapsed search.
+		if old, err := ftdse.ReadCheckpoint(bytes.NewReader(stored)); err == nil &&
+			(cost{old.TardinessMs, old.MakespanMs}).less(cost{ck.TardinessMs, ck.MakespanMs}) {
+			service.WriteJSON(w, http.StatusOK, struct{}{})
 			return
 		}
 	}
@@ -420,7 +257,7 @@ func (c *Coordinator) handleCheckpointPush(w http.ResponseWriter, r *http.Reques
 		if err := c.wal.append(journalRecord{
 			Type: recCheckpoint, Fingerprint: push.Fingerprint, Checkpoint: push.Checkpoint,
 		}); err != nil {
-			writeJSON(w, http.StatusInternalServerError, service.ErrorResponse{Error: err.Error()})
+			service.WriteJSON(w, http.StatusInternalServerError, service.ErrorResponse{Error: err.Error()})
 			return
 		}
 	}
@@ -430,17 +267,7 @@ func (c *Coordinator) handleCheckpointPush(w http.ResponseWriter, r *http.Reques
 	c.met.ckptsReceived.Inc()
 	c.log.Info("checkpoint received", obs.TraceIDKey, r.Header.Get(obs.TraceHeader),
 		"node", push.Node, "remote_job", push.JobID, "fingerprint", push.Fingerprint)
-	writeJSON(w, http.StatusOK, struct{}{})
-}
-
-// asGoodAs reports whether checkpoint a's incumbent is at least as good
-// as b's, in the solver's cost order. Ties admit a (fresher wins: a
-// later checkpoint of the same fingerprint carries more elapsed search).
-func asGoodAs(a, b ftdse.Checkpoint) bool {
-	if a.TardinessMs != b.TardinessMs {
-		return a.TardinessMs < b.TardinessMs
-	}
-	return a.MakespanMs <= b.MakespanMs
+	service.WriteJSON(w, http.StatusOK, struct{}{})
 }
 
 // handleCheckpointGet serves the freshest stored checkpoint for a
@@ -451,7 +278,7 @@ func (c *Coordinator) handleCheckpointGet(w http.ResponseWriter, r *http.Request
 	fp := r.PathValue("fp")
 	ck := c.LatestCheckpoint(fp)
 	if ck == nil {
-		writeJSON(w, http.StatusNotFound,
+		service.WriteJSON(w, http.StatusNotFound,
 			service.ErrorResponse{Error: "no checkpoint for " + fp})
 		return
 	}
@@ -465,7 +292,7 @@ type ShardsResponse struct {
 }
 
 func (c *Coordinator) handleShards(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, ShardsResponse{Nodes: c.shardStats()})
+	service.WriteJSON(w, http.StatusOK, ShardsResponse{Nodes: c.shardStats()})
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -473,7 +300,16 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	c.met.reg.WriteText(w)
 }
 
+// handleHealth answers liveness as a node does: "ok", or 503 once the
+// coordinator is closed.
 func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
+	c.mu.Lock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
+		service.WriteJSON(w, http.StatusServiceUnavailable, service.ErrorResponse{Error: "draining"})
+		return
+	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
 }
@@ -493,5 +329,5 @@ func (c *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
 	if !st.Ready {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, st)
+	service.WriteJSON(w, code, st)
 }

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,10 +21,10 @@ import (
 // instrumentation inflates allocation counts.
 var raceEnabled bool
 
-// TestValidateRepeatAllocs gates the allocations of validating a
-// repeated submission: the coordinator's ProblemMemo answers it without
-// decoding or re-encoding the problem document, with the fingerprint
-// Fingerprint gives.
+// TestValidateRepeatAllocs gates the allocations of checking a
+// repeated submission at the coordinator: the shared check over the
+// coordinator's ProblemMemo answers it without decoding or re-encoding
+// the problem document, with the fingerprint Fingerprint gives.
 func TestValidateRepeatAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation counts")
@@ -44,17 +46,18 @@ func TestValidateRepeatAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if fp, err := c.validate(req); err != nil || fp != want {
-			t.Fatalf("validate #%d = (%q, %v), want %q", i, fp, err, want)
+		if p, err := c.memo.Prepare(req, 0); err != nil || p.Fingerprint != want {
+			t.Fatalf("check #%d = (%q, %v), want %q", i, p.Fingerprint, err, want)
 		}
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := c.validate(req); err != nil {
+		if _, err := c.memo.Prepare(req, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
+	t.Logf("a repeated check allocates %.0f objects", allocs)
 	if allocs > 20 {
-		t.Fatalf("a repeated validate allocates %.0f objects, want at most 20", allocs)
+		t.Fatalf("a repeated check allocates %.0f objects, want at most 20", allocs)
 	}
 }
 
@@ -193,8 +196,7 @@ func TestDeadNodeReportsNoQueueDepth(t *testing.T) {
 }
 
 // TestConcludedJobDropsRequest: a terminal job keeps its result but not
-// its request, so the up to maxJobs retained jobs hold no
-// problem bytes.
+// its request, so the retained terminal jobs hold no problem bytes.
 func TestConcludedJobDropsRequest(t *testing.T) {
 	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
@@ -293,5 +295,40 @@ func TestConcludeLeavesOpenIndexBeforeWaking(t *testing.T) {
 	defer c.mu.Unlock()
 	if c.open[j.fp] != nil {
 		t.Error("a concluded job is still open for coalescing")
+	}
+}
+
+// TestJournalFailureAnswers500: a submission the coordinator cannot
+// journal is a server fault, answered 500, and is not admitted.
+func TestJournalFailureAnswers500(t *testing.T) {
+	c, err := New(Config{
+		Nodes:   []Node{{Name: "n1", URL: "http://127.0.0.1:1"}},
+		Journal: filepath.Join(t.TempDir(), "jobs.wal"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close(context.Background())
+	c.wal.f.Close() // every later append fails
+	p := ftdse.GenerateProblem(ftdse.GenSpec{Procs: 6, Nodes: 2, Seed: 5},
+		ftdse.FaultModel{K: 1, Mu: ftdse.Ms(5)})
+	req, err := client.NewRequest(p, service.SolveOptions{MaxIterations: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(body)))
+	if rec.Code != http.StatusInternalServerError ||
+		!strings.HasPrefix(rec.Body.String(), `{"error":"journaling submission: `) {
+		t.Fatalf("unjournaled submission answered %d %s, want 500", rec.Code, rec.Body)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.jobs) != 0 || len(c.open) != 0 {
+		t.Errorf("an unjournaled submission was admitted: %d jobs, %d open", len(c.jobs), len(c.open))
 	}
 }

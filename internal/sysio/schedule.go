@@ -68,6 +68,18 @@ type MEDLEntry struct {
 
 // WriteSchedule serializes a synthesized schedule.
 func WriteSchedule(w io.Writer, s *sched.Schedule) error {
+	return WriteScheduleDoc(w, scheduleDoc(s))
+}
+
+// MarshalSchedule returns exactly the bytes json.Compact makes of
+// WriteSchedule's output, in one pass: encoding/json indents its
+// compact encoding.
+func MarshalSchedule(s *sched.Schedule) ([]byte, error) {
+	return json.Marshal(scheduleDoc(s))
+}
+
+// scheduleDoc is the document value both schedule encodings marshal.
+func scheduleDoc(s *sched.Schedule) ScheduleDoc {
 	out := ScheduleDoc{
 		Schedulable: s.Schedulable(),
 		MakespanMs:  s.Makespan.Milliseconds(),
@@ -99,7 +111,7 @@ func WriteSchedule(w io.Writer, s *sched.Schedule) error {
 			ArrivalMs: tr.Arrival.Milliseconds(),
 		})
 	}
-	return WriteScheduleDoc(w, out)
+	return out
 }
 
 // WriteScheduleDoc serializes a schedule document in the canonical

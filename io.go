@@ -33,6 +33,12 @@ func WriteSchedule(w io.Writer, s *Schedule) error {
 	return sysio.WriteSchedule(w, s)
 }
 
+// MarshalSchedule returns WriteSchedule's document in compact form:
+// exactly the bytes json.Compact makes of WriteSchedule's output.
+func MarshalSchedule(s *Schedule) ([]byte, error) {
+	return sysio.MarshalSchedule(s)
+}
+
 // ScheduleDoc is the parsed form of the schedule export: the document
 // WriteSchedule produces, field by field. ReadSchedule returns one;
 // WriteScheduleDoc re-serializes it to the identical canonical bytes.

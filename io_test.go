@@ -343,3 +343,48 @@ func TestSubmissionBodiesPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestMarshalScheduleIsCompactWriteSchedule checks that MarshalSchedule
+// gives exactly the bytes json.Compact makes of WriteSchedule's output.
+// The schedules are solved with and without checkpointing for the
+// pinned problems, whose every-field document names processes, nodes
+// and so MEDL labels with <, > and &, and for generated ones.
+func TestMarshalScheduleIsCompactWriteSchedule(t *testing.T) {
+	var probs []ftdse.Problem
+	for _, p := range pinnedProblems(t) {
+		probs = append(probs, p)
+	}
+	for seed := 1; seed <= 4; seed++ {
+		probs = append(probs, ftdse.GenerateProblem(
+			ftdse.GenSpec{Procs: 8 * seed, Nodes: 1 + seed, Seed: int64(seed)},
+			ftdse.FaultModel{K: seed, Mu: ftdse.Ms(5)}))
+	}
+	escaped := false
+	for _, ckpt := range []bool{false, true} {
+		solver := ftdse.NewSolver(ftdse.WithMaxIterations(5), ftdse.WithCheckpointing(ckpt))
+		for _, p := range probs {
+			res, err := solver.Solve(context.Background(), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var indented, want bytes.Buffer
+			if err := ftdse.WriteSchedule(&indented, res.Schedule); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Compact(&want, indented.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ftdse.MarshalSchedule(res.Schedule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("MarshalSchedule differs from the compacted WriteSchedule:\n%s\n%s", got, want.Bytes())
+			}
+			escaped = escaped || bytes.Contains(got, []byte(`\u003c`))
+		}
+	}
+	if !escaped {
+		t.Fatal("no schedule held an escaped name")
+	}
+}

@@ -74,7 +74,7 @@ func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
 	if !st.Ready {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, st)
+	WriteJSON(w, code, st)
 }
 
 // handleRegister answers POST /cluster/register: the coordinator hands
@@ -83,17 +83,17 @@ func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
 // coordinator heals on its first health pass.
 func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("decoding request: %w", err))
+	if err := DecodeBody(w, r, &req); err != nil {
+		WriteError(w, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	if req.Node == "" {
-		writeError(w, errors.New("missing node name"))
+		WriteError(w, errors.New("missing node name"))
 		return
 	}
 	u, err := url.Parse(req.Coordinator)
 	if err != nil || u.Scheme == "" || u.Host == "" {
-		writeError(w, fmt.Errorf("invalid coordinator URL %q", req.Coordinator))
+		WriteError(w, fmt.Errorf("invalid coordinator URL %q", req.Coordinator))
 		return
 	}
 	interval := time.Duration(req.CheckpointMs * float64(time.Millisecond))
@@ -111,7 +111,7 @@ func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
 		s.cluster.client = &http.Client{Timeout: 10 * time.Second}
 	}
 	s.cluster.mu.Unlock()
-	writeJSON(w, http.StatusOK, RegisterResponse{Node: req.Node})
+	WriteJSON(w, http.StatusOK, RegisterResponse{Node: req.Node})
 }
 
 // startCheckpoints launches the checkpoint push loop for one running

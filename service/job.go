@@ -218,16 +218,6 @@ func (j *job) finishLocked(state string, result []byte, errMsg string) {
 	j.wakeLocked()
 }
 
-// terminal reports whether the job reached a terminal state.
-func (j *job) terminal() bool {
-	select {
-	case <-j.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // status snapshots the public view.
 func (j *job) status() JobStatus {
 	j.mu.Lock()

@@ -82,12 +82,12 @@ func TestProblemMemoExactAndBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, bad := range [][]byte{[]byte(`{"nonsense":true}`), invalid} {
-			_, first := s.prepare(SubmitRequest{Problem: bad, Options: opts})
+			_, first := s.memo.Prepare(SubmitRequest{Problem: bad, Options: opts}, 0)
 			if first == nil {
 				t.Fatalf("accepted %s", bad)
 			}
 			for i := 0; i < 3; i++ {
-				if _, err := s.prepare(SubmitRequest{Problem: bad, Options: opts}); err == nil || err.Error() != first.Error() {
+				if _, err := s.memo.Prepare(SubmitRequest{Problem: bad, Options: opts}, 0); err == nil || err.Error() != first.Error() {
 					t.Fatalf("repeat %d: error %v, want %v", i, err, first)
 				}
 			}
@@ -128,7 +128,7 @@ func TestProblemMemoExactAndBounded(t *testing.T) {
 		for _, size := range []int{2, -1} {
 			s := newTestService(t, Config{CacheSize: size})
 			for seed := int64(1); seed <= 4; seed++ {
-				if _, err := s.prepare(SubmitRequest{Problem: problemDoc(t, 4, seed), Options: opts}); err != nil {
+				if _, err := s.memo.Prepare(SubmitRequest{Problem: problemDoc(t, 4, seed), Options: opts}, 0); err != nil {
 					t.Fatal(err)
 				}
 				if n := s.memo.docs.len(); n > max(size, 0) {
@@ -148,8 +148,8 @@ func TestProblemMemoExactAndBounded(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				p, err := s.prepare(SubmitRequest{Problem: doc, Options: opts})
-				fps[i], errs[i] = p.fp, err
+				p, err := s.memo.Prepare(SubmitRequest{Problem: doc, Options: opts}, 0)
+				fps[i], errs[i] = p.Fingerprint, err
 			}(i)
 		}
 		wg.Wait()

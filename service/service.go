@@ -43,7 +43,8 @@
 //
 // Everything is stdlib-only. Use New + Handler to embed the service in
 // any mux; cmd/ftdsed wraps it in a daemon. The cluster package builds
-// the sharded coordinator on top of this API.
+// the sharded coordinator on top of this API and serves the same job
+// routes through MountJobs.
 package service
 
 import (
@@ -55,7 +56,6 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
@@ -73,8 +73,8 @@ type Config struct {
 	// SolveOptions.Workers goroutines for move evaluation.
 	PoolWorkers int
 	// CacheSize bounds the LRU result cache entries and, separately,
-	// the problem documents the ProblemMemo remembers (default 128;
-	// negative disables both).
+	// the problem documents the ProblemMemo remembers (default
+	// DefaultCacheSize; negative disables both).
 	CacheSize int
 	// MaxTimeLimit, when positive, caps the per-request time limit so a
 	// client cannot occupy a worker forever (0 = uncapped).
@@ -93,14 +93,30 @@ func (c Config) withDefaults() Config {
 		c.PoolWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.CacheSize == 0 {
-		c.CacheSize = 128
+		c.CacheSize = DefaultCacheSize
 	}
 	return c
 }
 
+// DefaultCacheSize is the default of Config.CacheSize, and the size of
+// the coordinator's ProblemMemo.
+const DefaultCacheSize = 128
+
 // maxJobs bounds the terminal jobs retained for status queries; the
 // oldest are forgotten first.
 const maxJobs = 4096
+
+// Retire appends the terminal job id to retired, the terminal ids
+// oldest first, and forgets the oldest of them from jobs while it holds
+// more than 4096 jobs.
+func Retire[J any](jobs map[string]J, retired []string, id string) []string {
+	retired = append(retired, id)
+	for len(jobs) > maxJobs && len(retired) > 0 {
+		delete(jobs, retired[0])
+		retired = retired[1:]
+	}
+	return retired
+}
 
 // Service is a concurrent solve service. Create with New, mount
 // Handler, and Close to drain.
@@ -294,7 +310,7 @@ func (s *Service) conclude(j *job, state string, result []byte, errMsg string) {
 		delete(s.inflight, j.fingerprint)
 	}
 	if first {
-		s.retireLocked(j)
+		s.retired = Retire(s.jobs, s.retired, j.id)
 	}
 	s.mu.Unlock()
 }
@@ -306,13 +322,9 @@ func durMs(d time.Duration) float64 { return float64(d) / float64(time.Milliseco
 // carrying the executing request's trace identity and server-side spans
 // (and the flight-recorder trace when the job asked for one).
 func encodeResult(res *ftdse.Result, traceID string, spans []obs.Span) ([]byte, error) {
-	var sched bytes.Buffer
-	if err := ftdse.WriteSchedule(&sched, res.Schedule); err != nil {
+	sched, err := ftdse.MarshalSchedule(res.Schedule)
+	if err != nil {
 		return nil, fmt.Errorf("service: encoding schedule: %w", err)
-	}
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, sched.Bytes()); err != nil {
-		return nil, fmt.Errorf("service: compacting schedule: %w", err)
 	}
 	jr := JobResult{
 		Strategy:    res.Strategy.String(),
@@ -325,7 +337,7 @@ func encodeResult(res *ftdse.Result, traceID string, spans []obs.Span) ([]byte, 
 		Stopped:     res.Stopped.String(),
 		TraceID:     traceID,
 		Spans:       spans,
-		Schedule:    json.RawMessage(compact.Bytes()),
+		Schedule:    json.RawMessage(sched),
 	}
 	if res.Trace != nil {
 		var tr bytes.Buffer
@@ -337,130 +349,48 @@ func encodeResult(res *ftdse.Result, traceID string, spans []obs.Span) ([]byte, 
 	return json.Marshal(jr)
 }
 
-// Submission errors surfaced to the HTTP layer.
-var (
-	errQueueFull = errors.New("job queue full")
-	errDraining  = errors.New("service draining")
-)
+// nodeJobs is the node's side of the job surface.
+type nodeJobs struct{ *Service }
 
-// submitErr wraps a submission failure with its HTTP classification;
-// queue-full rejections additionally carry the fingerprint that needed
-// the unavailable slot and the backlog at rejection time.
-type submitErr struct {
-	code        int
-	retryAfter  time.Duration
-	fingerprint string
-	queueDepth  int
-	err         error
-}
-
-func (e *submitErr) Error() string { return e.err.Error() }
-
-// prepare validates one request and computes its fingerprint, through
-// the ProblemMemo so a repeated document is neither decoded nor
-// re-encoded. The request's trace ID is validated (or minted when
-// absent), so every admitted submission is traceable.
-func (s *Service) prepare(req SubmitRequest) (prepared, error) {
-	opts, err := req.Options.normalized()
-	if err != nil {
-		return prepared{}, err
-	}
-	traceID := req.TraceID
-	switch {
-	case traceID == "":
-		traceID = obs.NewTraceID()
-	case !obs.ValidTraceID(traceID):
-		return prepared{}, fmt.Errorf("invalid trace id %q", traceID)
-	}
-	if s.cfg.MaxTimeLimit > 0 && (opts.timeLimit() <= 0 || opts.timeLimit() > s.cfg.MaxTimeLimit) {
-		opts.TimeLimitMs = float64(s.cfg.MaxTimeLimit) / float64(time.Millisecond)
-	}
-	if len(req.Problem) == 0 {
-		return prepared{}, errors.New("missing problem document")
-	}
-	// The memo keys on the options after the MaxTimeLimit clamp, which
-	// the fingerprint includes.
-	prob, fp, err := s.memo.Resolve(req.Problem, opts)
-	if err != nil {
-		return prepared{}, err
-	}
-	p := prepared{opts: opts, problem: prob, fp: fp, traceID: traceID}
-	if len(req.WarmStart) > 0 {
-		// A malformed checkpoint is a client bug (reject); one that
-		// parses but does not fit this problem is a stale best-effort
-		// hint (ignore) — the warm-start contract of WithWarmStart.
-		ck, err := ftdse.ReadCheckpoint(bytes.NewReader(req.WarmStart))
-		if err != nil {
-			return prepared{}, fmt.Errorf("warm start: %w", err)
-		}
-		if d, err := ftdse.CheckpointDesign(prob, ck); err == nil {
-			p.warm = d
-		}
-	}
-	return p, nil
-}
-
-// submit enqueues one prepared request (or answers it from the cache).
-func (s *Service) submit(req SubmitRequest) (*job, error) {
-	p, err := s.prepare(req)
-	if err != nil {
-		return nil, &submitErr{code: http.StatusBadRequest, err: err}
-	}
-	jobs, err := s.enqueue([]prepared{p})
-	if err != nil {
-		return nil, err
-	}
-	return jobs[0], nil
-}
-
-// prepared is one validated submission ready to enqueue.
-type prepared struct {
-	opts    SolveOptions
-	problem ftdse.Problem
-	fp      string
-	traceID string       // request identity (minted when the client sent none)
-	warm    ftdse.Design // optional warm start (outside the fingerprint)
-}
-
-// enqueue atomically admits a set of prepared submissions: cache hits
+// Admit atomically admits a set of prepared submissions: cache hits
 // are answered in place, submissions whose fingerprint is already in
 // flight coalesce onto the existing job (same id — solves are
 // deterministic per fingerprint, so one solve answers them all), and
 // either every genuinely new job fits the queue or the whole set is
 // rejected with queue-full (backpressure is all-or-nothing so a batch
 // cannot be half-admitted).
-func (s *Service) enqueue(reqs []prepared) ([]*job, error) {
+func (s nodeJobs) Admit(reqs []Prepared) ([]*job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return nil, &submitErr{code: http.StatusServiceUnavailable, err: errDraining}
+		return nil, &SubmitError{Code: http.StatusServiceUnavailable, Err: ErrDraining}
 	}
 	// Pass 1: cache and in-flight lookups and the queue-capacity check
 	// for the rest — no metrics, IDs, or registrations yet, so a
 	// rejected batch leaves no trace beyond its rejection count.
 	bodies := make([][]byte, len(reqs))
-	shared := make([]*job, len(reqs))
+	jobs := make([]*job, len(reqs)) // pass 1 fills in the in-flight jobs shared
 	fresh := make(map[string]struct{})
 	need := 0
 	firstFresh := ""
 	for i, r := range reqs {
-		if body, ok := s.cache.get(r.fp); ok {
+		if body, ok := s.cache.get(r.Fingerprint); ok {
 			bodies[i] = body
 			continue
 		}
 		// Coalesce only onto jobs not already canceled: a submission
 		// arriving after a cancel deserves a fresh solve, not the
 		// winding-down job's truncated result.
-		if j := s.inflight[r.fp]; j != nil && j.ctx.Err() == nil {
-			shared[i] = j
+		if j := s.inflight[r.Fingerprint]; j != nil && j.ctx.Err() == nil {
+			jobs[i] = j
 			continue
 		}
-		if _, dup := fresh[r.fp]; dup {
+		if _, dup := fresh[r.Fingerprint]; dup {
 			continue // coalesces onto its batch-mate in pass 2
 		}
-		fresh[r.fp] = struct{}{}
+		fresh[r.Fingerprint] = struct{}{}
 		if firstFresh == "" {
-			firstFresh = r.fp
+			firstFresh = r.Fingerprint
 		}
 		need++
 	}
@@ -470,36 +400,34 @@ func (s *Service) enqueue(reqs []prepared) ([]*job, error) {
 		s.met.jobsRejected.Add(int64(need))
 		s.log.Warn("job queue full", "fingerprint", firstFresh,
 			"queue_depth", len(s.pending), "rejected", need)
-		return nil, &submitErr{
-			code:        http.StatusTooManyRequests,
-			retryAfter:  s.retryAfterLocked(),
-			fingerprint: firstFresh,
-			queueDepth:  len(s.pending),
-			err:         errQueueFull,
+		return nil, &SubmitError{
+			Code:        http.StatusTooManyRequests,
+			RetryAfter:  s.retryAfterLocked(),
+			Fingerprint: firstFresh,
+			QueueDepth:  len(s.pending),
+			Err:         errors.New("job queue full"),
 		}
 	}
 	// Pass 2: count, register and enqueue — all under the same lock as
 	// the capacity check, so admission is atomic.
-	jobs := make([]*job, len(reqs))
 	for i, r := range reqs {
 		switch {
 		case bodies[i] != nil:
 			s.met.cacheHits.Inc()
-			j := newCachedJob(s.newIDLocked(), r.fp, r.traceID, r.opts, bodies[i])
+			j := newCachedJob(s.newIDLocked(), r.Fingerprint, r.Request.TraceID, r.opts, bodies[i])
 			jobs[i] = j
 			s.jobs[j.id] = j
-			s.retireLocked(j)
+			s.retired = Retire(s.jobs, s.retired, j.id)
 			continue
-		case shared[i] != nil:
+		case jobs[i] != nil:
 			s.met.jobsCoalesced.Inc()
-			jobs[i] = shared[i]
-		case s.inflight[r.fp] != nil: // batch-mate created below
+		case s.inflight[r.Fingerprint] != nil: // batch-mate created below
 			s.met.jobsCoalesced.Inc()
-			jobs[i] = s.inflight[r.fp]
+			jobs[i] = s.inflight[r.Fingerprint]
 		default:
 			s.met.cacheMisses.Inc()
 			s.met.jobsSubmitted.Inc()
-			j := newJob(s.newIDLocked(), r.fp, r.traceID, r.opts, r.problem)
+			j := newJob(s.newIDLocked(), r.Fingerprint, r.Request.TraceID, r.opts, r.problem)
 			// When identical submissions coalesce, the first one's warm
 			// start wins: later hints could only steer the same
 			// deterministic search from a different (never worse for the
@@ -508,22 +436,13 @@ func (s *Service) enqueue(reqs []prepared) ([]*job, error) {
 			j.warm = r.warm
 			jobs[i] = j
 			s.jobs[j.id] = j
-			s.inflight[r.fp] = j
+			s.inflight[r.Fingerprint] = j
 			s.pending = append(s.pending, j)
 			s.workCond.Signal()
 		}
 		jobs[i].attach()
 	}
 	return jobs, nil
-}
-
-// retireLocked is retire for callers already holding mu.
-func (s *Service) retireLocked(j *job) {
-	s.retired = append(s.retired, j.id)
-	for len(s.jobs) > maxJobs && len(s.retired) > 0 {
-		delete(s.jobs, s.retired[0])
-		s.retired = s.retired[1:]
-	}
 }
 
 func (s *Service) newIDLocked() string {
@@ -549,11 +468,7 @@ func (s *Service) retryAfterLocked() time.Duration {
 // Handler returns the service's HTTP API.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /solve", s.handleSolve)
-	mux.HandleFunc("POST /solve/batch", s.handleBatch)
-	mux.HandleFunc("GET /jobs/{id}", s.handleJob)
-	mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
+	MountJobs(mux, nodeJobs{s}, s.memo, s.cfg.MaxTimeLimit)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
@@ -561,142 +476,44 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// maxBody bounds request bodies (problem documents are small).
-const maxBody = 16 << 20
-
-// writeJSON emits a response exactly as json.NewEncoder(w).Encode(v)
-// would, encoded by AppendJSON: a job status carries its stored result
-// document as copied bytes, so a cache hit answers with the very bytes
-// the solve stored, the same bytes the SSE "done" event carries.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	buf := bodies.Get().(*[]byte)
-	body, err := AppendJSON((*buf)[:0], v)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err == nil {
-		body = append(body, '\n')
-		w.Write(body)
-	}
-	if cap(body) <= maxPooledBody {
-		*buf = body
-		bodies.Put(buf)
-	}
-}
-
-// bodies recycles response bodies: a ResponseWriter, like any
-// io.Writer, does not retain what it is given.
-var bodies = sync.Pool{New: func() any { return new([]byte) }}
-
-// maxPooledBody keeps a rare large body, such as a big batch's, from
-// staying in the pool.
-const maxPooledBody = 64 << 10
-
-func writeError(w http.ResponseWriter, err error) {
-	var se *submitErr
-	if errors.As(err, &se) {
-		resp := ErrorResponse{Error: se.err.Error()}
-		if se.code == http.StatusTooManyRequests {
-			secs := int(se.retryAfter / time.Second)
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			resp.RetryAfterS = secs
-			resp.Fingerprint = se.fingerprint
-			resp.QueueDepth = se.queueDepth
-		}
-		writeJSON(w, se.code, resp)
-		return
-	}
-	writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-}
-
-func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	// The Ftdse-Trace-Id header is the out-of-band carrier of the same
-	// identity; an explicit body field wins.
-	if req.TraceID == "" {
-		req.TraceID = r.Header.Get(obs.TraceHeader)
-	}
-	j, err := s.submit(req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	// Echo the solve's trace identity so callers that let the server
-	// mint it can pick it up without parsing the body.
-	w.Header().Set(obs.TraceHeader, j.traceID)
-	if wait, _ := strconv.ParseBool(r.URL.Query().Get("wait")); wait && !j.terminal() {
-		select {
-		case <-j.done:
-		case <-r.Context().Done():
-			// Cancel-on-disconnect (or client deadline): drop this
-			// submission's interest, and stop the solve only when no
-			// other submission coalesced onto the job — other clients
-			// still want its result. Nobody reads the response of a
-			// disconnected request, so return without writing one.
-			if j.release() {
-				s.cancelJob(j)
-			}
-			return
-		}
-	}
-	code := http.StatusAccepted
-	if j.terminal() {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, j.status())
-}
-
-func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	if len(req.Jobs) == 0 {
-		writeError(w, errors.New("empty batch"))
-		return
-	}
-	preps := make([]prepared, len(req.Jobs))
-	for i, jr := range req.Jobs {
-		p, err := s.prepare(jr)
-		if err != nil {
-			writeError(w, fmt.Errorf("batch job %d: %w", i, err))
-			return
-		}
-		preps[i] = p
-	}
-	jobs, err := s.enqueue(preps)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	resp := BatchResponse{Jobs: make([]JobStatus, len(jobs))}
-	for i, j := range jobs {
-		resp.Jobs[i] = j.status()
-	}
-	writeJSON(w, http.StatusAccepted, resp)
-}
-
-// lookup resolves {id}, answering 404 itself when absent.
-func (s *Service) lookup(w http.ResponseWriter, r *http.Request) *job {
+func (s nodeJobs) Job(id string) (*job, bool) {
 	s.mu.Lock()
-	j := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	if j == nil {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "unknown job " + r.PathValue("id")})
-	}
-	return j
+	defer s.mu.Unlock()
+	j := s.jobs[id]
+	return j, j != nil
 }
 
-func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
-	if j := s.lookup(w, r); j != nil {
-		writeJSON(w, http.StatusOK, j.status())
+func (nodeJobs) Status(j *job) JobStatus { return j.status() }
+
+func (nodeJobs) Done(j *job) <-chan struct{} { return j.done }
+
+// Leave drops the submission's interest and stops the solve only when
+// no other submission coalesced onto the job: others still want it.
+func (s nodeJobs) Leave(j *job) {
+	if j.release() {
+		s.cancelJob(j)
+	}
+}
+
+// Cancel cancels the job for every client attached to it.
+func (s nodeJobs) Cancel(_ context.Context, j *job) { s.cancelJob(j) }
+
+// Follow replays the job's history, then its live events.
+func (nodeJobs) Follow(ctx context.Context, j *job, send func(...ProgressEvent)) bool {
+	for seen := 0; ; {
+		news, next, terminal := j.follow(seen)
+		if len(news) > 0 {
+			send(news...)
+			seen += len(news)
+		}
+		if terminal {
+			return true
+		}
+		select {
+		case <-next:
+		case <-ctx.Done():
+			return false
+		}
 	}
 }
 
@@ -721,76 +538,9 @@ func (s *Service) cancelJob(j *job) {
 				break
 			}
 		}
-		s.retireLocked(j)
+		s.retired = Retire(s.jobs, s.retired, j.id)
 		s.mu.Unlock()
 	}
-}
-
-func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
-	s.cancelJob(j)
-	// A canceled solve reaches a terminal state within one scheduling
-	// pass; wait for that so the answer carries the final state and the
-	// best-so-far result, not a still-running snapshot. The client's own
-	// request timeout bounds the wait.
-	select {
-	case <-j.done:
-	case <-r.Context().Done():
-	}
-	writeJSON(w, http.StatusOK, j.status())
-}
-
-// handleEvents streams the job's incumbents as Server-Sent Events: the
-// full history first (late subscribers replay every improvement), then
-// live events, then one closing "done" event with the final status.
-func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusNotImplemented, ErrorResponse{Error: "streaming unsupported"})
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-
-	seen := 0
-	for {
-		news, next, terminal := j.follow(seen)
-		for _, ev := range news {
-			writeSSE(w, "improvement", ev)
-		}
-		seen += len(news)
-		if terminal {
-			writeSSE(w, "done", j.status())
-			fl.Flush()
-			return
-		}
-		fl.Flush()
-		select {
-		case <-next:
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// writeSSE emits one event; data is encoded compactly by AppendJSON, so
-// it stays a single data: line.
-func writeSSE(w http.ResponseWriter, event string, v any) {
-	data, err := AppendJSON(nil, v)
-	if err != nil {
-		data = []byte(`{"error":"encoding event"}`)
-	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
 }
 
 // handleMetrics serves the Prometheus text exposition.
@@ -804,7 +554,7 @@ func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	s.mu.Unlock()
 	if draining {
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "draining"})
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
