@@ -8,9 +8,9 @@ import (
 
 // Checkpoint is the parsed form of a search checkpoint: the incumbent
 // design plus where the search stood when the snapshot was taken
-// (phase, iteration, cost, elapsed time). The cluster tier pushes one
-// per checkpoint interval so a killed node's solve resumes elsewhere
-// via WithWarmStart; the document is also a durable, human-readable
+// (phase, iteration, cost, elapsed time). The cluster coordinator pulls
+// one from a node at most once per checkpoint interval so a killed
+// node's solve resumes elsewhere via WithWarmStart; the document is also a durable, human-readable
 // record of an incumbent. Like the problem and schedule exports the
 // encoding is canonical, so an accepted document round-trips through
 // WriteCheckpoint bit-identically.

@@ -1,28 +1,23 @@
-package cluster_test
+package cluster
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"sync"
 	"testing"
 
 	"repro/ftdse"
-	"repro/ftdse/cluster"
-	"repro/ftdse/service"
 )
 
 // journaledCoordinator opens a coordinator over an unreachable node with
-// a journal at path. It is never started: checkpoint pushes need no
+// a journal at path. It is never started: keeping a checkpoint needs no
 // loops.
-func journaledCoordinator(t *testing.T, path string) *cluster.Coordinator {
+func journaledCoordinator(t *testing.T, path string) *Coordinator {
 	t.Helper()
-	c, err := cluster.New(cluster.Config{
-		Nodes:   []cluster.Node{{Name: "n1", URL: "http://127.0.0.1:1"}},
+	c, err := New(Config{
+		Nodes:   []Node{{Name: "n1", URL: "http://127.0.0.1:1"}},
 		Journal: path,
 	})
 	if err != nil {
@@ -31,9 +26,9 @@ func journaledCoordinator(t *testing.T, path string) *cluster.Coordinator {
 	return c
 }
 
-// pushCheckpoint posts a one-process checkpoint of the given makespan
-// for fp through the coordinator's HTTP surface.
-func pushCheckpoint(t *testing.T, h http.Handler, fp string, makespanMs float64) {
+// keep hands c a one-process checkpoint of the given makespan for fp,
+// as a pull from a node does.
+func keep(t *testing.T, c *Coordinator, fp string, makespanMs float64) {
 	var doc bytes.Buffer
 	if err := ftdse.WriteCheckpoint(&doc, ftdse.Checkpoint{
 		Version:     ftdse.CheckpointVersion,
@@ -45,20 +40,13 @@ func pushCheckpoint(t *testing.T, h http.Handler, fp string, makespanMs float64)
 		t.Error(err)
 		return
 	}
-	body, err := json.Marshal(service.CheckpointPush{Node: "n1", Fingerprint: fp, Checkpoint: doc.Bytes()})
-	if err != nil {
-		t.Error(err)
-		return
-	}
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/cluster/checkpoints", bytes.NewReader(body)))
-	if rec.Code != http.StatusOK {
-		t.Errorf("push of %vms: status %d: %s", makespanMs, rec.Code, rec.Body)
+	if _, err := c.keepCheckpoint(fp, doc.Bytes()); err != nil {
+		t.Errorf("checkpoint of %vms: %v", makespanMs, err)
 	}
 }
 
 // storedMakespan is the makespan of the checkpoint c keeps for fp.
-func storedMakespan(t *testing.T, c *cluster.Coordinator, fp string) float64 {
+func storedMakespan(t *testing.T, c *Coordinator, fp string) float64 {
 	t.Helper()
 	ck, err := ftdse.ReadCheckpoint(bytes.NewReader(c.LatestCheckpoint(fp)))
 	if err != nil {
@@ -67,16 +55,16 @@ func storedMakespan(t *testing.T, c *cluster.Coordinator, fp string) float64 {
 	return ck.MakespanMs
 }
 
-// TestCheckpointPushKeepsBetter: a push worse than the stored
-// checkpoint is dropped, so the better one stays stored, in memory and
-// after the journal is replayed.
+// TestCheckpointPushKeepsBetter: a checkpoint worse than the stored one
+// is dropped, so the better one stays stored, in memory and after the
+// journal is replayed.
 func TestCheckpointPushKeepsBetter(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.wal")
 	c := journaledCoordinator(t, path)
-	pushCheckpoint(t, c.Handler(), "fp", 100)
-	pushCheckpoint(t, c.Handler(), "fp", 200)
+	keep(t, c, "fp", 100)
+	keep(t, c, "fp", 200)
 	if got := storedMakespan(t, c, "fp"); got != 100 {
-		t.Errorf("stored makespan %vms after a worse push, want 100ms", got)
+		t.Errorf("stored makespan %vms after a worse checkpoint, want 100ms", got)
 	}
 	if err := c.Close(context.Background()); err != nil {
 		t.Fatal(err)
@@ -88,17 +76,16 @@ func TestCheckpointPushKeepsBetter(t *testing.T) {
 	}
 }
 
-// TestConcurrentCheckpointPushesKeepBest: pushes racing for one
+// TestConcurrentCheckpointPushesKeepBest: checkpoints racing for one
 // fingerprint through a journaled coordinator leave the best of them
-// stored, in memory and after replay. Each push journals with an
-// fsync, so without serialization several pushes pass the comparison
-// against the same stored checkpoint and a worse one can land last.
+// stored, in memory and after replay. Each one journals with an fsync,
+// so without serialization several pass the comparison against the
+// same stored checkpoint and a worse one can land last.
 func TestConcurrentCheckpointPushesKeepBest(t *testing.T) {
 	const trials, pushes = 5, 16
 	for trial := 0; trial < trials; trial++ {
 		path := filepath.Join(t.TempDir(), fmt.Sprintf("jobs%d.wal", trial))
 		c := journaledCoordinator(t, path)
-		h := c.Handler()
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for i := 0; i < pushes; i++ {
@@ -106,13 +93,13 @@ func TestConcurrentCheckpointPushesKeepBest(t *testing.T) {
 			go func(makespan float64) {
 				defer wg.Done()
 				<-start
-				pushCheckpoint(t, h, "fp", makespan)
+				keep(t, c, "fp", makespan)
 			}(float64(100 + i))
 		}
 		close(start)
 		wg.Wait()
 		if got := storedMakespan(t, c, "fp"); got != 100 {
-			t.Errorf("trial %d: stored makespan %vms, want the best push, 100ms", trial, got)
+			t.Errorf("trial %d: stored makespan %vms, want the best checkpoint, 100ms", trial, got)
 		}
 		if err := c.Close(context.Background()); err != nil {
 			t.Fatal(err)

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sync"
 	"time"
 
+	"repro/ftdse"
 	"repro/ftdse/obs"
 	"repro/ftdse/service"
 )
@@ -42,8 +44,11 @@ type Config struct {
 	// memory only (acknowledged jobs then do not survive a coordinator
 	// restart — fine for tests, not for production).
 	Journal string
-	// CheckpointInterval is the cadence nodes are asked to push search
-	// checkpoints at (default 1s).
+	// CheckpointInterval is the least time between two checkpoint pulls
+	// of one dispatched job: when a status poll reports new
+	// improvements and this long has passed since the dispatch or the
+	// last pull, the job's monitor pulls its node's latest incumbent
+	// (default 1s).
 	CheckpointInterval time.Duration
 	// HealthInterval is the readiness-probe cadence (default 1s).
 	HealthInterval time.Duration
@@ -119,11 +124,15 @@ type cjob struct {
 	remoteID     string // job id on the owning node
 	attempts     int    // dispatch attempts (for backoff/diagnostics)
 	improvements int
-	cancelReq    bool
-	cached       bool // the last dispatch was answered from the node's result cache
-	result       json.RawMessage
-	errMsg       string
-	done         chan struct{}
+	// pulledImps and pulledAt are the remote job's improvement count and
+	// the time at its last checkpoint pull, or 0 and its dispatch time.
+	pulledImps int
+	pulledAt   time.Time
+	cancelReq  bool
+	cached     bool // the last dispatch was answered from the node's result cache
+	result     json.RawMessage
+	errMsg     string
+	done       chan struct{}
 }
 
 // Coordinator shards solve jobs across ftdsed nodes. Create with New,
@@ -136,14 +145,13 @@ type Coordinator struct {
 	members map[string]*member // immutable map, mutable members
 	memo    *service.ProblemMemo
 
-	// ckptMu serializes checkpoint pushes from comparison through journal
-	// append to store, so a worse push cannot pass the comparison against
-	// a checkpoint a better push is about to replace. It is taken before
-	// mu, which is never held across the journal's fsync.
+	// ckptMu serializes keepCheckpoint from comparison through journal
+	// append to store, so a worse checkpoint cannot pass the comparison
+	// against one a better checkpoint is about to replace. It is taken
+	// before mu, which is never held across the journal's fsync.
 	ckptMu sync.Mutex
 
 	mu      sync.Mutex
-	self    string // advertised coordinator URL (set by Start)
 	jobs    map[string]*cjob
 	open    map[string]*cjob           // fingerprint → non-terminal job
 	ckpts   map[string]json.RawMessage // fingerprint → freshest checkpoint doc
@@ -259,8 +267,7 @@ func (c *Coordinator) replay(recs []journalRecord) {
 }
 
 // Start begins the health loop and the monitors of journal-replayed
-// jobs. selfURL is the address nodes push checkpoints to (this
-// coordinator's own base URL as the nodes reach it).
+// jobs. selfURL is unused: nodes never call the coordinator.
 func (c *Coordinator) Start(selfURL string) error {
 	c.mu.Lock()
 	if c.started {
@@ -268,7 +275,6 @@ func (c *Coordinator) Start(selfURL string) error {
 		return errors.New("cluster: coordinator already started")
 	}
 	c.started = true
-	c.self = selfURL
 	var resumed []*cjob
 	for _, j := range c.open {
 		resumed = append(resumed, j) //ftlint:allow determinism monitors are independent goroutines; launch order is immaterial
@@ -370,11 +376,6 @@ func (c *Coordinator) healthPass() {
 		m.ready = st.Ready
 		m.depth = st.QueueDepth
 		m.mu.Unlock()
-		// A node answering under a different (or no) identity restarted
-		// or never met us: (re-)register so checkpoint pushes flow.
-		if st.Node != name {
-			c.register(m)
-		}
 	}
 }
 
@@ -398,26 +399,6 @@ func (c *Coordinator) probe(m *member) (service.ReadyStatus, error) {
 		return service.ReadyStatus{}, err
 	}
 	return st, nil
-}
-
-// register introduces the coordinator to a node (idempotent).
-func (c *Coordinator) register(m *member) {
-	c.mu.Lock()
-	self := c.self
-	c.mu.Unlock()
-	if self == "" {
-		return
-	}
-	body, _ := json.Marshal(service.RegisterRequest{
-		Node:         m.name,
-		Coordinator:  self,
-		CheckpointMs: float64(c.cfg.CheckpointInterval) / float64(time.Millisecond),
-	})
-	resp, err := c.hc.Post(m.url+"/cluster/register", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	resp.Body.Close()
 }
 
 // failoverNode re-maps every open job owned by a dead node: the job
@@ -561,6 +542,7 @@ func (c *Coordinator) dispatch(j *cjob) {
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	hreq.Header.Set(obs.TraceHeader, j.traceID)
+	hreq.Header.Set(obs.NodeHeader, m.name)
 	start := time.Now()
 	resp, err := c.hc.Do(hreq)
 	if err != nil {
@@ -596,6 +578,8 @@ func (c *Coordinator) dispatch(j *cjob) {
 	j.attempts++
 	attempt := j.attempts
 	j.node, j.remoteID = m.name, st.ID
+	// A new remote job counts its improvements from zero.
+	j.pulledImps, j.pulledAt = 0, time.Now()
 	j.cached = st.Cached
 	if !service.TerminalState(j.state) {
 		j.state = service.StateRunning
@@ -623,10 +607,13 @@ func (c *Coordinator) dispatch(j *cjob) {
 	}
 }
 
-// poll refreshes a dispatched job's state from its node. Losing the
-// remote job (404 after a node restart) or its node re-maps the job;
-// a remote cancellation the coordinator did not ask for (a draining
-// node) does too — zero lost jobs is the contract.
+// poll refreshes a dispatched job's state from its node, and pulls its
+// checkpoint when the status reports improvements the last pull did
+// not see and CheckpointInterval has passed since the dispatch or the
+// last pull: an idle search adds no journal records. Losing the remote
+// job (404 after a node restart) or its node re-maps the job; a remote
+// cancellation the coordinator did not ask for (a draining node) does
+// too — zero lost jobs is the contract.
 func (c *Coordinator) poll(j *cjob, node, remoteID string) {
 	m := c.members[node]
 	if alive, _, _ := m.snapshot(); !alive {
@@ -652,8 +639,12 @@ func (c *Coordinator) poll(j *cjob, node, remoteID string) {
 	}
 	j.improvements = st.Improvements
 	canceled := j.cancelReq
+	pull := st.Improvements > j.pulledImps && time.Since(j.pulledAt) >= c.cfg.CheckpointInterval
 	j.mu.Unlock()
 	if !service.TerminalState(st.State) {
+		if pull {
+			c.pull(j, m, remoteID, st.Improvements)
+		}
 		return
 	}
 	if st.State == service.StateCanceled && !canceled {
@@ -663,6 +654,80 @@ func (c *Coordinator) poll(j *cjob, node, remoteID string) {
 		return
 	}
 	c.conclude(j, st.State, st.Result, st.Error)
+}
+
+// pull fetches a running remote job's checkpoint and keeps it under the
+// coordinator's fingerprint for the job, which a node capping the time
+// limit does not share. A failed pull is logged, counted and retried at
+// the next poll.
+func (c *Coordinator) pull(j *cjob, m *member, remoteID string, improvements int) {
+	doc, err := c.fetchCheckpoint(m, remoteID)
+	kept := false
+	if err == nil {
+		kept, err = c.keepCheckpoint(j.fp, doc)
+	}
+	if err != nil {
+		c.met.ckptPullErrors.Inc()
+		c.log.Warn("checkpoint pull failed", obs.TraceIDKey, j.traceID,
+			"job", j.id, "node", m.name, "remote_id", remoteID, "error", err.Error())
+		return
+	}
+	j.mu.Lock()
+	if j.node == m.name && j.remoteID == remoteID {
+		j.pulledImps, j.pulledAt = improvements, time.Now()
+	}
+	j.mu.Unlock()
+	if kept {
+		c.log.Info("checkpoint kept", obs.TraceIDKey, j.traceID,
+			"job", j.id, "node", m.name, "remote_id", remoteID, "fingerprint", j.fp)
+	}
+}
+
+// fetchCheckpoint GETs a remote job's checkpoint document.
+func (c *Coordinator) fetchCheckpoint(m *member, remoteID string) ([]byte, error) {
+	resp, err := c.hc.Get(m.url + "/jobs/" + remoteID + "/checkpoint")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("node answered %s", resp.Status)
+	}
+	return io.ReadAll(resp.Body)
+}
+
+// keepCheckpoint journals and stores doc as fp's checkpoint unless the
+// stored one is better, so a cold re-solve racing a warm one cannot
+// regress the incumbent a failover resumes from. A tie admits doc: a
+// later checkpoint of the same fingerprint carries more elapsed search.
+// Checkpoints are serialized from the comparison through the journal
+// append to the store, and a failed append stores nothing.
+func (c *Coordinator) keepCheckpoint(fp string, doc json.RawMessage) (bool, error) {
+	ck, err := ftdse.ReadCheckpoint(bytes.NewReader(doc))
+	if err != nil {
+		return false, fmt.Errorf("checkpoint document: %w", err)
+	}
+	c.ckptMu.Lock()
+	defer c.ckptMu.Unlock()
+	c.mu.Lock()
+	stored, ok := c.ckpts[fp]
+	c.mu.Unlock()
+	if ok {
+		if old, err := ftdse.ReadCheckpoint(bytes.NewReader(stored)); err == nil &&
+			(cost{old.TardinessMs, old.MakespanMs}).less(cost{ck.TardinessMs, ck.MakespanMs}) {
+			return false, nil
+		}
+	}
+	if c.wal != nil {
+		if err := c.wal.append(journalRecord{Type: recCheckpoint, Fingerprint: fp, Checkpoint: doc}); err != nil {
+			return false, err
+		}
+	}
+	c.mu.Lock()
+	c.ckpts[fp] = doc
+	c.mu.Unlock()
+	c.met.ckptsReceived.Inc()
+	return true, nil
 }
 
 // unassign drops a job's node binding so its monitor re-dispatches.
@@ -688,8 +753,13 @@ func (c *Coordinator) conclude(j *cjob, state string, result json.RawMessage, er
 	}
 	j.mu.Unlock()
 	if c.wal != nil {
-		c.wal.append(journalRecord{Type: recDone, ID: j.id, Fingerprint: j.fp,
-			TraceID: j.traceID, State: state, Result: result})
+		if err := c.wal.append(journalRecord{Type: recDone, ID: j.id, Fingerprint: j.fp,
+			TraceID: j.traceID, State: state, Result: result}); err != nil {
+			// The job still concludes; a restarted coordinator runs it
+			// again, and the node's result cache absorbs that.
+			c.log.Warn("journaling job conclusion failed", obs.TraceIDKey, j.traceID,
+				"job", j.id, "state", state, "error", err.Error())
+		}
 	}
 	// The job leaves the coalescing index in the critical section that
 	// makes it terminal, so a submission admitted after a waiter wakes
@@ -763,6 +833,7 @@ type coordMetrics struct {
 	failed         *obs.Counter
 	canceled       *obs.Counter
 	ckptsReceived  *obs.Counter
+	ckptPullErrors *obs.Counter
 	nodeDeaths     *obs.Counter
 	queueWait      *obs.Histogram // admission → first successful dispatch
 	jobDuration    *obs.Histogram // admission → terminal state
@@ -785,7 +856,8 @@ func newCoordMetrics(c *Coordinator) *coordMetrics {
 		completed:      r.NewCounter("ftcluster_jobs_completed_total", "Jobs that reached the done state."),
 		failed:         r.NewCounter("ftcluster_jobs_failed_total", "Jobs that reached the failed state."),
 		canceled:       r.NewCounter("ftcluster_jobs_canceled_total", "Jobs that reached the canceled state."),
-		ckptsReceived:  r.NewCounter("ftcluster_checkpoints_received_total", "Checkpoint documents accepted from nodes."),
+		ckptsReceived:  r.NewCounter("ftcluster_checkpoints_received_total", "Checkpoint documents pulled from nodes and kept."),
+		ckptPullErrors: r.NewCounter("ftcluster_checkpoint_pull_errors_total", "Checkpoint pulls that failed."),
 		nodeDeaths:     r.NewCounter("ftcluster_node_deaths_total", "Nodes declared dead after consecutive probe failures."),
 		queueWait: r.NewHistogram("ftcluster_queue_wait_seconds",
 			"Time from job admission to the first node accepting it.", buckets),

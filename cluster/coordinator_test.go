@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -304,7 +306,7 @@ func ckCost(t *testing.T, doc json.RawMessage) (float64, float64) {
 
 // TestClusterFailoverResumesFromCheckpoint is the heart of the
 // subsystem: kill the node that owns an in-flight solve and the job
-// must finish on the survivor, warm-started from the last pushed
+// must finish on the survivor, warm-started from the last pulled
 // checkpoint, with a final cost no worse than the checkpointed
 // incumbent.
 func TestClusterFailoverResumesFromCheckpoint(t *testing.T) {
@@ -507,6 +509,219 @@ func TestClusterEventsProxyStaysMonotone(t *testing.T) {
 			(b.TardinessMs == a.TardinessMs && b.MakespanMs >= a.MakespanMs) {
 			t.Fatalf("event %d (%v, %v) does not improve on (%v, %v)",
 				i, b.TardinessMs, b.MakespanMs, a.TardinessMs, a.MakespanMs)
+		}
+	}
+}
+
+// scriptedNode is a fake node: it is always ready, accepts dispatch n
+// as remote job rn, and answers every other request with answer.
+func scriptedNode(t *testing.T, answer http.HandlerFunc) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
+	var dispatches atomic.Int64
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/readyz":
+			service.WriteJSON(w, http.StatusOK, service.ReadyStatus{Ready: true})
+		case "/solve":
+			n := dispatches.Add(1)
+			service.WriteJSON(w, http.StatusAccepted,
+				service.JobStatus{ID: fmt.Sprintf("r%d", n), State: service.StateRunning})
+		default:
+			answer(w, r)
+		}
+	}))
+	t.Cleanup(node.Close)
+	return node, &dispatches
+}
+
+// TestLostRemoteJobIsRedispatched: a remote job its node loses, whose
+// status answers 404 as after a node restart or reports a cancel the
+// coordinator never asked for as from a draining node, is dispatched
+// again and finishes.
+func TestLostRemoteJobIsRedispatched(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		lost func(w http.ResponseWriter)
+	}{
+		{"restarted node answers 404", func(w http.ResponseWriter) {
+			service.WriteJSON(w, http.StatusNotFound, service.ErrorResponse{Error: "unknown job r1"})
+		}},
+		{"draining node cancels", func(w http.ResponseWriter) {
+			service.WriteJSON(w, http.StatusOK, service.JobStatus{ID: "r1", State: service.StateCanceled})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			node, dispatches := scriptedNode(t, func(w http.ResponseWriter, r *http.Request) {
+				switch r.URL.Path {
+				case "/jobs/r1":
+					tc.lost(w)
+				case "/jobs/r2":
+					service.WriteJSON(w, http.StatusOK, service.JobStatus{ID: "r2", State: service.StateDone,
+						Result: json.RawMessage(`{}`)})
+				default:
+					http.NotFound(w, r)
+				}
+			})
+			_, srv := startCoordinator(t, cluster.Config{
+				Nodes:        []cluster.Node{{Name: "n1", URL: node.URL}},
+				PollInterval: 10 * time.Millisecond,
+			})
+			st := postSolve(t, srv.URL, submitBody(t, genProblem(6, 51), service.SolveOptions{}), http.StatusOK, "wait")
+			if st.State != service.StateDone || string(st.Result) != `{}` {
+				t.Fatalf("lost job ended %+v, want done with the second dispatch's result", st)
+			}
+			if n := dispatches.Load(); n != 2 {
+				t.Errorf("%d dispatches, want 2", n)
+			}
+			if got := metric(t, srv.URL, "ftcluster_redispatches_total"); got != 1 {
+				t.Errorf("redispatches = %v, want 1", got)
+			}
+		})
+	}
+}
+
+// TestCoordinatorReadyz: a coordinator is ready only between Start and
+// Close, with a live node to dispatch to.
+func TestCoordinatorReadyz(t *testing.T) {
+	node, _ := scriptedNode(t, http.NotFound)
+	c, err := cluster.New(cluster.Config{Nodes: []cluster.Node{{Name: "n1", URL: node.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(c.Handler())
+	defer front.Close()
+	ready := func(when string, want int) {
+		t.Helper()
+		resp, err := http.Get(front.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st service.ReadyStatus
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatalf("%s: decoding readyz: %v", when, err)
+		}
+		if resp.StatusCode != want || st.Ready != (want == http.StatusOK) {
+			t.Errorf("%s: readyz answered %d %+v, want %d", when, resp.StatusCode, st, want)
+		}
+	}
+	ready("before Start", http.StatusServiceUnavailable)
+	if err := c.Start(front.URL); err != nil {
+		t.Fatal(err)
+	}
+	ready("with a live node", http.StatusOK)
+	if err := c.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ready("after Close", http.StatusServiceUnavailable)
+}
+
+// TestIdleSearchJournalsNoCheckpoint: the coordinator pulls a running
+// job's checkpoint again only once its improvement count moves, so an
+// idle search adds no checkpoint records to the journal.
+func TestIdleSearchJournalsNoCheckpoint(t *testing.T) {
+	var doc bytes.Buffer
+	if err := ftdse.WriteCheckpoint(&doc, ftdse.Checkpoint{
+		Version: ftdse.CheckpointVersion, Fingerprint: "node-fp", Schedulable: true, MakespanMs: 100,
+		Design: map[string][]ftdse.CheckpointReplica{"P1": {{Node: "N1"}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var improvements, pulls atomic.Int64
+	improvements.Store(1)
+	node, _ := scriptedNode(t, func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/jobs/r1":
+			service.WriteJSON(w, http.StatusOK, service.JobStatus{ID: "r1", State: service.StateRunning,
+				Improvements: int(improvements.Load())})
+		case "/jobs/r1/checkpoint":
+			pulls.Add(1)
+			w.Write(doc.Bytes())
+		default:
+			http.NotFound(w, r)
+		}
+	})
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	_, srv := startCoordinator(t, cluster.Config{
+		Nodes:              []cluster.Node{{Name: "n1", URL: node.URL}},
+		Journal:            path,
+		CheckpointInterval: 20 * time.Millisecond,
+		PollInterval:       10 * time.Millisecond,
+	})
+	postSolve(t, srv.URL, submitBody(t, genProblem(6, 52), service.SolveOptions{}), http.StatusAccepted)
+	records := func() int {
+		wal, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Count(wal, []byte(`"type":"checkpoint"`))
+	}
+	waitPulls := func(n int64) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); pulls.Load() < n; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d checkpoint pulls, want %d", pulls.Load(), n)
+			}
+		}
+	}
+	waitPulls(1)
+	time.Sleep(300 * time.Millisecond) // some 30 polls of an unchanged count
+	if n, r := pulls.Load(), records(); n != 1 || r != 1 {
+		t.Fatalf("an idle search was pulled %d times and journaled %d checkpoints, want 1 and 1", n, r)
+	}
+	improvements.Store(2)
+	waitPulls(2)
+	// A tie admits the newer document.
+	for deadline := time.Now().Add(10 * time.Second); records() < 2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("journaled %d checkpoints after a new improvement, want 2", records())
+		}
+	}
+}
+
+// TestCheckpointUnderCoordinatorFingerprint: a node that caps the time
+// limit fingerprints a job apart from the coordinator, and the
+// coordinator still keeps the job's checkpoint under its own
+// fingerprint, the one a failover dispatch looks up.
+func TestCheckpointUnderCoordinatorFingerprint(t *testing.T) {
+	nodes := startNodes(t, 1, service.Config{MaxTimeLimit: 3 * time.Second})
+	coord, srv := startCoordinator(t, fastCfg(nodes))
+	st := postSolve(t, srv.URL, slowBody(t, 53), http.StatusAccepted)
+	for deadline := time.Now().Add(15 * time.Second); coord.LatestCheckpoint(st.Fingerprint) == nil; time.Sleep(10 * time.Millisecond) {
+		if now := getJob(t, srv.URL, st.ID); service.TerminalState(now.State) || time.Now().After(deadline) {
+			t.Fatalf("no checkpoint under the coordinator's fingerprint; the job is %s", now.State)
+		}
+	}
+	ck, err := ftdse.ReadCheckpoint(bytes.NewReader(coord.LatestCheckpoint(st.Fingerprint)))
+	if err != nil {
+		t.Fatalf("stored checkpoint does not parse: %v", err)
+	}
+	if ck.Fingerprint == st.Fingerprint {
+		t.Fatal("the node's time cap did not change the fingerprint, so this shows nothing")
+	}
+	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/jobs/"+st.ID, nil)
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		resp.Body.Close()
+	}
+}
+
+// TestDispatchedSolveNamesMember: the spans of a solve a coordinator
+// dispatched name the member it ran on.
+func TestDispatchedSolveNamesMember(t *testing.T) {
+	nodes := startNodes(t, 1, service.Config{})
+	_, srv := startCoordinator(t, fastCfg(nodes))
+	st := postSolve(t, srv.URL, submitBody(t, genProblem(6, 54),
+		service.SolveOptions{MaxIterations: 3, Workers: 1}), http.StatusOK, "wait")
+	var res service.JobResult
+	if err := json.Unmarshal(st.Result, &res); err != nil {
+		t.Fatalf("decoding result: %v", err)
+	}
+	if len(res.Spans) == 0 {
+		t.Fatalf("result %+v carries no spans", res)
+	}
+	for _, sp := range res.Spans {
+		if sp.Node != "n1" {
+			t.Errorf("span %q names node %q, want n1", sp.Name, sp.Node)
 		}
 	}
 }

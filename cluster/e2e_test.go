@@ -20,7 +20,7 @@ import (
 // with SIGKILL — no drain, no goodbye — mid-solve. It is the strongest
 // form of the failover contract: the in-test integration suite can only
 // sever HTTP; a killed process also takes the solve itself down, so the
-// surviving node genuinely resumes from the last pushed checkpoint.
+// surviving node genuinely resumes from the last pulled checkpoint.
 
 // freePort reserves a listen address and frees it for the daemon.
 func freePort(t *testing.T) string {

@@ -1,14 +1,12 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
-	"repro/ftdse"
 	"repro/ftdse/client"
 	"repro/ftdse/obs"
 	"repro/ftdse/service"
@@ -16,18 +14,17 @@ import (
 
 // The coordinator mounts the ftdsed job surface (service.MountJobs) —
 // POST /solve, POST /solve/batch, GET/DELETE /jobs/{id},
-// GET /jobs/{id}/events — so the typed client package works against it
-// unchanged; jobs just run on whichever node the shard map picks. On
-// top of that it serves the cluster surface: POST /cluster/checkpoints
-// (nodes push incumbents here), GET /cluster/checkpoints/{fp} (clients
-// fetch a prior incumbent to warm-start a similar problem), and
-// GET /cluster/shards (the shard map report).
+// GET /jobs/{id}/events, GET /jobs/{id}/checkpoint — so the typed
+// client package works against it unchanged; jobs just run on whichever
+// node the shard map picks. On top of that it serves the cluster
+// surface: GET /cluster/checkpoints/{fp} (clients fetch a prior
+// incumbent to warm-start a similar problem) and GET /cluster/shards
+// (the shard map report).
 
 // Handler returns the coordinator's HTTP API.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	service.MountJobs(mux, coordJobs{c}, c.memo, 0)
-	mux.HandleFunc("POST /cluster/checkpoints", c.handleCheckpointPush)
 	mux.HandleFunc("GET /cluster/checkpoints/{fp}", c.handleCheckpointGet)
 	mux.HandleFunc("GET /cluster/shards", c.handleShards)
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
@@ -196,6 +193,12 @@ func (c coordJobs) Follow(ctx context.Context, j *cjob, send func(...service.Pro
 	}
 }
 
+// Checkpoint is the freshest checkpoint stored for the job's
+// fingerprint, terminal jobs included.
+func (c coordJobs) Checkpoint(j *cjob) ([]byte, error) {
+	return c.LatestCheckpoint(j.fp), nil
+}
+
 // cost is an incumbent's cost in the solver's order: tardiness first,
 // then makespan.
 type cost struct{ tard, mksp float64 }
@@ -218,56 +221,6 @@ func (g *monotoneGate) admit(ev service.ProgressEvent) bool {
 	}
 	g.has, g.best = true, c
 	return true
-}
-
-// handleCheckpointPush ingests one search checkpoint from a node. The
-// freshest-and-best document per fingerprint is journaled and kept; a
-// push that would regress the stored incumbent (a cold re-solve racing
-// a warm one) is dropped, so warm starts never get worse.
-func (c *Coordinator) handleCheckpointPush(w http.ResponseWriter, r *http.Request) {
-	var push service.CheckpointPush
-	if err := service.DecodeBody(w, r, &push); err != nil {
-		service.WriteError(w, fmt.Errorf("decoding checkpoint push: %w", err))
-		return
-	}
-	if push.Fingerprint == "" {
-		service.WriteError(w, errors.New("checkpoint push without fingerprint"))
-		return
-	}
-	ck, err := ftdse.ReadCheckpoint(bytes.NewReader(push.Checkpoint))
-	if err != nil {
-		service.WriteError(w, fmt.Errorf("checkpoint document: %w", err))
-		return
-	}
-	c.ckptMu.Lock()
-	defer c.ckptMu.Unlock()
-	c.mu.Lock()
-	stored, ok := c.ckpts[push.Fingerprint]
-	c.mu.Unlock()
-	if ok {
-		// A tie admits the push: a later checkpoint of the same
-		// fingerprint carries more elapsed search.
-		if old, err := ftdse.ReadCheckpoint(bytes.NewReader(stored)); err == nil &&
-			(cost{old.TardinessMs, old.MakespanMs}).less(cost{ck.TardinessMs, ck.MakespanMs}) {
-			service.WriteJSON(w, http.StatusOK, struct{}{})
-			return
-		}
-	}
-	if c.wal != nil {
-		if err := c.wal.append(journalRecord{
-			Type: recCheckpoint, Fingerprint: push.Fingerprint, Checkpoint: push.Checkpoint,
-		}); err != nil {
-			service.WriteJSON(w, http.StatusInternalServerError, service.ErrorResponse{Error: err.Error()})
-			return
-		}
-	}
-	c.mu.Lock()
-	c.ckpts[push.Fingerprint] = push.Checkpoint
-	c.mu.Unlock()
-	c.met.ckptsReceived.Inc()
-	c.log.Info("checkpoint received", obs.TraceIDKey, r.Header.Get(obs.TraceHeader),
-		"node", push.Node, "remote_job", push.JobID, "fingerprint", push.Fingerprint)
-	service.WriteJSON(w, http.StatusOK, struct{}{})
 }
 
 // handleCheckpointGet serves the freshest stored checkpoint for a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 
 	"repro/ftdse"
 	"repro/ftdse/client"
+	"repro/ftdse/obs"
 	"repro/ftdse/service"
 )
 
@@ -174,7 +176,7 @@ func TestCancelDuringDispatchReachesNode(t *testing.T) {
 // depth of its last good probe.
 func TestDeadNodeReportsNoQueueDepth(t *testing.T) {
 	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(service.ReadyStatus{Ready: true, QueueDepth: 3, Node: "n1"})
+		json.NewEncoder(w).Encode(service.ReadyStatus{Ready: true, QueueDepth: 3})
 	}))
 	defer node.Close()
 	c, err := New(Config{Nodes: []Node{{Name: "n1", URL: node.URL}}, FailAfter: 2})
@@ -201,7 +203,7 @@ func TestConcludedJobDropsRequest(t *testing.T) {
 	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/readyz":
-			json.NewEncoder(w).Encode(service.ReadyStatus{Ready: true, Node: "n1"})
+			json.NewEncoder(w).Encode(service.ReadyStatus{Ready: true})
 		case "/solve":
 			// Answered in place, as a node's result cache does.
 			json.NewEncoder(w).Encode(service.JobStatus{ID: "r1", State: service.StateDone,
@@ -331,4 +333,102 @@ func TestJournalFailureAnswers500(t *testing.T) {
 	if len(c.jobs) != 0 || len(c.open) != 0 {
 		t.Errorf("an unjournaled submission was admitted: %d jobs, %d open", len(c.jobs), len(c.open))
 	}
+}
+
+// syncBuffer is a bytes.Buffer safe for a logger and a test to share.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// TestConcludeLogsFailedDoneAppend: a job whose conclusion the journal
+// cannot record still concludes, and the coordinator logs the lost
+// durability at warn with the job's trace ID.
+func TestConcludeLogsFailedDoneAppend(t *testing.T) {
+	finish := make(chan struct{})
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/readyz":
+			service.WriteJSON(w, http.StatusOK, service.ReadyStatus{Ready: true})
+		case "/solve":
+			service.WriteJSON(w, http.StatusAccepted, service.JobStatus{ID: "r1", State: service.StateRunning})
+		case "/jobs/r1":
+			st := service.JobStatus{ID: "r1", State: service.StateRunning}
+			select {
+			case <-finish:
+				st.State, st.Result = service.StateDone, json.RawMessage(`{}`)
+			default:
+			}
+			service.WriteJSON(w, http.StatusOK, st)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer node.Close()
+	var logs syncBuffer
+	c, err := New(Config{
+		Nodes:        []Node{{Name: "n1", URL: node.URL}},
+		Journal:      filepath.Join(t.TempDir(), "jobs.wal"),
+		PollInterval: 10 * time.Millisecond,
+		Logger:       obs.NewLogger(&logs, slog.LevelInfo),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(c.Handler())
+	defer front.Close()
+	defer c.Close(context.Background())
+	if err := c.Start(front.URL); err != nil {
+		t.Fatal(err)
+	}
+	p := ftdse.GenerateProblem(ftdse.GenSpec{Procs: 6, Nodes: 2, Seed: 6},
+		ftdse.FaultModel{K: 1, Mu: ftdse.Ms(5)})
+	req, err := client.NewRequest(p, service.SolveOptions{MaxIterations: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(front.URL+"/solve", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st service.JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d, %v", resp.StatusCode, err)
+	}
+	c.wal.f.Close() // the done record's append fails
+	close(finish)
+	c.mu.Lock()
+	j := c.jobs[st.ID]
+	c.mu.Unlock()
+	select {
+	case <-j.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the job never concluded")
+	}
+	for _, line := range strings.Split(logs.String(), "\n") {
+		var rec map[string]any
+		if json.Unmarshal([]byte(line), &rec) == nil && rec["level"] == "WARN" &&
+			rec["msg"] == "journaling job conclusion failed" && rec[obs.TraceIDKey] == st.TraceID {
+			return
+		}
+	}
+	t.Fatalf("no warn line for the failed done append of trace %s in:\n%s", st.TraceID, logs.String())
 }

@@ -27,7 +27,7 @@ import (
 const (
 	recSubmit     = "submit"     // a job was admitted
 	recDone       = "done"       // a job reached a terminal state
-	recCheckpoint = "checkpoint" // a node pushed a search checkpoint
+	recCheckpoint = "checkpoint" // a search checkpoint pulled from a node was kept
 )
 
 // journalRecord is one WAL line.

@@ -2,9 +2,9 @@
 // stdlib-only coordinator (cmd/ftclusterd) that consistent-hashes job
 // fingerprints across solver nodes for cache affinity, health-checks
 // the nodes, re-maps shards when one dies, steals work from hot shards,
-// journals every job to a write-ahead log, and ingests periodic search
-// checkpoints so an in-flight solve killed with its node resumes on a
-// survivor from the last incumbent instead of restarting. DESIGN.md §13
+// journals every job to a write-ahead log, and pulls periodic search
+// checkpoints from the nodes so an in-flight solve killed with its node
+// resumes on a survivor from the last incumbent instead of restarting. DESIGN.md §13
 // documents the architecture.
 package cluster
 

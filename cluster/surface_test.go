@@ -81,6 +81,11 @@ func TestJobSurfaceParity(t *testing.T) {
 		{"GET unknown job", http.MethodGet, "/jobs/nope", nil, nil, http.StatusNotFound, ""},
 		{"DELETE unknown job", http.MethodDelete, "/jobs/nope", nil, nil, http.StatusNotFound, ""},
 		{"events of unknown job", http.MethodGet, "/jobs/nope/events", nil, nil, http.StatusNotFound, ""},
+		{"checkpoint of unknown job", http.MethodGet, "/jobs/nope/checkpoint", nil, nil, http.StatusNotFound, ""},
+		// Nodes never call the coordinator: neither tier serves node
+		// registration or takes a pushed checkpoint.
+		{"no registration", http.MethodPost, "/cluster/register", []byte(`{}`), nil, http.StatusNotFound, ""},
+		{"no checkpoint push", http.MethodPost, "/cluster/checkpoints", []byte(`{}`), nil, http.StatusNotFound, ""},
 		{"valid wait=1", http.MethodPost, "/solve?wait=1", marshal(valid),
 			http.Header{obs.TraceHeader: {traceID}}, http.StatusOK, ""},
 	} {

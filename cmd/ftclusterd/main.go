@@ -2,22 +2,22 @@
 // across a set of ftdsed nodes by consistent-hashing their canonical
 // fingerprints (cache affinity), health-checks the nodes and re-maps
 // shards when one dies, steals work from hot shards, journals every
-// admitted job to a write-ahead log, and ingests periodic search
-// checkpoints so an in-flight solve killed with its node resumes on a
-// survivor from its last incumbent design.
+// admitted job to a write-ahead log, and pulls periodic search
+// checkpoints from its nodes so an in-flight solve killed with its node
+// resumes on a survivor from its last incumbent design. The coordinator
+// is the only caller in the cluster: nodes never contact it.
 //
 // Usage:
 //
 //	ftclusterd -node n1=http://host1:8385 -node n2=http://host2:8385
-//	           [-addr :8390] [-self http://this-host:8390]
-//	           [-journal jobs.wal] [-checkpoint 1s] [-health 1s]
+//	           [-addr :8390] [-journal jobs.wal] [-checkpoint 1s] [-health 1s]
 //	           [-fail-after 3] [-max-pending 1024] [-drain 30s]
 //	           [-pprof] [-log-level info]
 //
 // The job surface speaks the ftdsed wire protocol — POST /solve
 // (?wait=1), POST /solve/batch, GET/DELETE /jobs/{id},
-// GET /jobs/{id}/events (SSE) — so the typed client works unchanged.
-// The cluster surface adds POST /cluster/checkpoints (node pushes),
+// GET /jobs/{id}/events (SSE), GET /jobs/{id}/checkpoint — so the typed
+// client works unchanged. The cluster surface adds
 // GET /cluster/checkpoints/{fp} (warm-start fetch),
 // GET /cluster/shards, GET /metrics (Prometheus text exposition, the
 // only metrics surface), GET /healthz and GET /readyz. With -pprof the
@@ -77,9 +77,8 @@ func main() {
 	var nodes nodeFlags
 	flag.Var(&nodes, "node", "solver node as name=url (repeat per node)")
 	addr := flag.String("addr", ":8390", "listen address")
-	self := flag.String("self", "", "advertised base URL nodes push checkpoints to (default http://127.0.0.1<addr>)")
 	journal := flag.String("journal", "", "write-ahead job journal path (empty = no durability)")
-	checkpoint := flag.Duration("checkpoint", time.Second, "search checkpoint push cadence")
+	checkpoint := flag.Duration("checkpoint", time.Second, "least time between two checkpoint pulls of one job")
 	health := flag.Duration("health", time.Second, "node readiness probe cadence")
 	failAfter := flag.Int("fail-after", 3, "consecutive probe failures before a node is dead")
 	maxPending := flag.Int("max-pending", 1024, "open job cap (submissions beyond it get 429)")
@@ -93,13 +92,6 @@ func main() {
 	if len(nodes) == 0 {
 		logger.Error("ftclusterd: at least one -node name=url is required")
 		os.Exit(1)
-	}
-	if *self == "" {
-		a := *addr
-		if strings.HasPrefix(a, ":") {
-			a = "127.0.0.1" + a
-		}
-		*self = "http://" + a
 	}
 
 	coord, err := cluster.New(cluster.Config{
@@ -123,14 +115,14 @@ func main() {
 	}
 	srv := &http.Server{Addr: *addr, Handler: mux}
 
-	if err := coord.Start(*self); err != nil {
+	if err := coord.Start(""); err != nil {
 		logger.Error("ftclusterd failed to start", "error", err.Error())
 		os.Exit(1)
 	}
 
 	errc := make(chan error, 1)
 	go func() {
-		logger.Info("ftclusterd listening", "addr", *addr, "self", *self,
+		logger.Info("ftclusterd listening", "addr", *addr,
 			"nodes", len(nodes), "journal", *journal, "pprof", *pprof)
 		errc <- srv.ListenAndServe()
 	}()

@@ -4,7 +4,8 @@
 // retrying client, SIGKILLs one solver node mid-batch (when -kill-pid
 // is given), then waits for every job and verifies drain-free recovery:
 // zero lost jobs — every submission reaches "done" with a result —
-// plus at least one live shard left standing. It exits non-zero on any
+// plus at least one live shard left standing, and at least one search
+// checkpoint pulled into the coordinator. It exits non-zero on any
 // violation and writes the shard-stats document to -shards-out for CI
 // to upload as an artifact. After the storm it submits one small fresh
 // problem twice and requires the second answer to be a cache hit: the
@@ -115,10 +116,10 @@ func main() {
 	if err != nil {
 		log.Fatalf("clustersmoke: metrics: %v", err)
 	}
-	fmt.Printf("dispatches=%v redispatches=%v steals=%v warm_dispatches=%v nodes_alive=%v\n",
+	fmt.Printf("dispatches=%v redispatches=%v steals=%v warm_dispatches=%v checkpoints_received=%v nodes_alive=%v\n",
 		m["ftcluster_dispatches_total"], m["ftcluster_redispatches_total"],
 		m["ftcluster_steals_total"], m["ftcluster_warm_dispatches_total"],
-		m["ftcluster_nodes_alive"])
+		m["ftcluster_checkpoints_received_total"], m["ftcluster_nodes_alive"])
 
 	shards, err := fetchShards(ctx, *addr)
 	if err != nil {
@@ -133,6 +134,11 @@ func main() {
 
 	if lost > 0 {
 		log.Fatalf("clustersmoke: %d of %d jobs lost", lost, len(sts))
+	}
+	// Every job searches for seconds, longer than the coordinator's
+	// checkpoint cadence (1s by default), so it must have pulled some.
+	if m["ftcluster_checkpoints_received_total"] < 1 {
+		log.Fatalf("clustersmoke: no checkpoint reached the coordinator")
 	}
 	if *killPid != 0 {
 		if m["ftcluster_redispatches_total"] < 1 {

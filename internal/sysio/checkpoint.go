@@ -15,8 +15,8 @@ import (
 
 // The checkpoint export is the durability artifact of a running search:
 // the incumbent design together with where the search stood when it was
-// taken (phase, iteration, cost, elapsed time). A node pushes one to
-// its coordinator every few improvements; after the node dies, the
+// taken (phase, iteration, cost, elapsed time). A coordinator pulls one
+// from a node while the search improves; after the node dies, the
 // checkpoint warm-starts the resumed solve on another node, so the
 // search continues from the incumbent instead of restarting. Like the
 // problem and schedule exports the format is canonical — fixed key

@@ -6,11 +6,16 @@ import (
 )
 
 // TraceHeader is the HTTP header that carries a job's trace ID across
-// processes: client → coordinator → node, on dispatches, failover
-// re-dispatches and checkpoint pushes. The same ID appears in journal
-// entries, SSE events, log lines and the final JobResult, so one grep
-// over any of those reconstructs the job's life end to end.
+// processes: client → coordinator → node, on dispatches and failover
+// re-dispatches. The same ID appears in journal entries, SSE events,
+// log lines and the final JobResult, so one grep over any of those
+// reconstructs the job's life end to end.
 const TraceHeader = "Ftdse-Trace-Id"
+
+// NodeHeader carries, next to TraceHeader on a dispatch, the name of
+// the member the coordinator sends the job to, for the Node field of
+// the job's spans. A node ignores a value that is not a valid trace ID.
+const NodeHeader = "Ftdse-Node"
 
 // NewTraceID mints a 128-bit random trace ID in lower-case hex. IDs are
 // correlation handles only — nothing derives meaning from their bytes —
@@ -47,16 +52,14 @@ func ValidTraceID(s string) bool {
 	return true
 }
 
-// Span is one timed step of a job's life (queue wait, dispatch attempt,
-// solve, checkpoint push), offset-based so spans from one process need
-// no clock agreement with any other: StartMs is measured from the
-// owning process's first sight of the job, and durations come from the
-// monotonic clock.
+// Span is one timed step of a job's life (its queue wait, its solve),
+// offset-based so spans from one process need no clock agreement with
+// any other: StartMs is measured from the owning process's first sight
+// of the job, and durations come from the monotonic clock.
 //
 //ftdse:wire
 type Span struct {
-	// Name identifies the step: "queue_wait", "solve", "dispatch",
-	// "redispatch", "checkpoint_push", ...
+	// Name identifies the step: "queue_wait" or "solve".
 	Name string `json:"name"`
 	// StartMs is the span's start, in milliseconds since the owning
 	// process accepted the job.
@@ -65,9 +68,10 @@ type Span struct {
 	// still running when a status is taken) report 0 and are stamped
 	// when they close.
 	DurationMs float64 `json:"duration_ms"`
-	// Node is the cluster member the step ran on, when dispatched.
+	// Node is the cluster member the step ran on, when a coordinator
+	// dispatched the job (NodeHeader).
 	Node string `json:"node,omitempty"`
-	// Attempt numbers dispatch retries (1 = first dispatch); 0 for
-	// spans that cannot repeat.
+	// Attempt numbers the tries of a repeatable step (1 = first);
+	// neither queue_wait nor solve repeats, so both leave it 0.
 	Attempt int `json:"attempt,omitempty"`
 }

@@ -4,9 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
-	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
@@ -27,20 +26,6 @@ func getReady(t *testing.T, url string) (service.ReadyStatus, int) {
 		t.Fatalf("decoding readyz: %v", err)
 	}
 	return st, resp.StatusCode
-}
-
-// register registers a coordinator on the service.
-func register(t *testing.T, url string, req service.RegisterRequest) {
-	t.Helper()
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(url+"/cluster/register", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST /cluster/register: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("register = %d", resp.StatusCode)
-	}
 }
 
 func TestReadyzTracksQueueAndDrain(t *testing.T) {
@@ -80,83 +65,66 @@ func TestReadyzTracksQueueAndDrain(t *testing.T) {
 	}
 }
 
-func TestRegisterThenCheckpointsArriveAtCoordinator(t *testing.T) {
-	var (
-		mu     sync.Mutex
-		pushes []service.CheckpointPush
-	)
-	coord := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost || r.URL.Path != "/cluster/checkpoints" {
-			http.NotFound(w, r)
-			return
-		}
-		var p service.CheckpointPush
-		if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		mu.Lock()
-		pushes = append(pushes, p)
-		mu.Unlock()
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer coord.Close()
-
+// TestJobCheckpointRoute: a running job's checkpoint document parses,
+// carries the job's fingerprint and resolves against its problem; an
+// unknown job, a job with no incumbent yet and a terminal job have none.
+func TestJobCheckpointRoute(t *testing.T) {
 	_, srv := newService(t, service.Config{QueueSize: 4, PoolWorkers: 1})
-	register(t, srv.URL, service.RegisterRequest{
-		Node: "n1", Coordinator: coord.URL, CheckpointMs: 20,
-	})
-	if st, _ := getReady(t, srv.URL); st.Node != "n1" {
-		t.Fatalf("readyz node = %q after registration", st.Node)
+	checkpoint := func(id string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/jobs/" + id + "/checkpoint")
+		if err != nil {
+			t.Fatalf("GET /jobs/%s/checkpoint: %v", id, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+	if code, body := checkpoint("nope"); code != http.StatusNotFound || !bytes.Contains(body, []byte("unknown job nope")) {
+		t.Fatalf("unknown job answered %d %s, want 404", code, body)
 	}
 
+	// The single worker runs the first job; the second waits in the
+	// queue with no incumbent.
 	prob := genProblem(14, 3)
-	job := postSolve(t, srv.URL, submitBody(t, prob, slowOpts), http.StatusAccepted)
-
-	deadline := time.Now().Add(15 * time.Second)
-	var got service.CheckpointPush
-	for {
-		mu.Lock()
-		n := len(pushes)
-		if n > 0 {
-			got = pushes[n-1]
-		}
-		mu.Unlock()
-		if n > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint reached the coordinator")
-		}
-		time.Sleep(10 * time.Millisecond)
+	running := postSolve(t, srv.URL, submitBody(t, prob, slowOpts), http.StatusAccepted)
+	queued := postSolve(t, srv.URL, submitBody(t, genProblem(12, 4), slowOpts), http.StatusAccepted)
+	waitState(t, srv.URL, running.ID, 15*time.Second, func(st service.JobStatus) bool {
+		return st.Improvements > 0
+	})
+	code, body := checkpoint(running.ID)
+	if code != http.StatusOK {
+		t.Fatalf("running job answered %d %s, want 200", code, body)
 	}
-	if got.Node != "n1" || got.JobID != job.ID || got.Fingerprint != job.Fingerprint {
-		t.Fatalf("push metadata = %+v, want node n1 job %s fp %s", got, job.ID, job.Fingerprint)
-	}
-	ck, err := ftdse.ReadCheckpoint(bytes.NewReader(got.Checkpoint))
+	ck, err := ftdse.ReadCheckpoint(bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("pushed checkpoint does not parse: %v\n%s", err, got.Checkpoint)
+		t.Fatalf("checkpoint does not parse: %v\n%s", err, body)
 	}
-	if ck.Fingerprint != job.Fingerprint {
-		t.Fatalf("checkpoint fingerprint %q, want %q", ck.Fingerprint, job.Fingerprint)
+	if ck.Fingerprint != running.Fingerprint {
+		t.Fatalf("checkpoint fingerprint %q, want %q", ck.Fingerprint, running.Fingerprint)
 	}
 	if _, err := ftdse.CheckpointDesign(prob, ck); err != nil {
-		t.Fatalf("pushed design does not resolve against the problem: %v", err)
+		t.Fatalf("checkpoint design does not resolve against the problem: %v", err)
 	}
-	// The node increments only after its push POST returns, while the
-	// fake coordinator records the push before responding — poll briefly
-	// instead of racing that window.
-	for n := metric(t, srv.URL, "ftdse_checkpoints_pushed_total"); n < 1; {
-		if time.Now().After(deadline) {
-			t.Fatalf("checkpoints_pushed = %v", n)
-		}
-		time.Sleep(10 * time.Millisecond)
-		n = metric(t, srv.URL, "ftdse_checkpoints_pushed_total")
+	if code, body := checkpoint(queued.ID); code != http.StatusNotFound ||
+		!bytes.Contains(body, []byte("no checkpoint for job "+queued.ID)) {
+		t.Fatalf("queued job answered %d %s, want 404", code, body)
 	}
 
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/jobs/"+job.ID, nil)
-	if resp, err := http.DefaultClient.Do(req); err == nil {
+	// DELETE answers once the job is terminal.
+	for _, id := range []string{running.ID, queued.ID} {
+		req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/jobs/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("DELETE: %v", err)
+		}
 		resp.Body.Close()
+	}
+	if code, body := checkpoint(running.ID); code != http.StatusNotFound {
+		t.Fatalf("terminal job answered %d %s, want 404", code, body)
 	}
 }
 

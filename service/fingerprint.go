@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 
 	"repro/ftdse"
 )
@@ -48,10 +47,24 @@ func Fingerprint(p ftdse.Problem, o SolveOptions) (string, error) {
 	if err := ftdse.WriteProblem(&buf, p); err != nil {
 		return "", fmt.Errorf("service: fingerprinting problem: %w", err)
 	}
-	h := sha256.New()
-	h.Write(buf.Bytes())
-	io.WriteString(h, "\x00"+no.canonical())
-	return "sha256:" + hex.EncodeToString(h.Sum(nil)), nil
+	sum := docKey(buf.Bytes(), no)
+	return "sha256:" + hex.EncodeToString(sum[:]), nil
+}
+
+// docKey is SHA-256 over doc, a 0x00 byte and the canonical rendering
+// of the normalized options: over the canonical problem document it is
+// the fingerprint, over a document as received the ProblemMemo key. The
+// input is laid out in a pooled buffer.
+func docKey(doc []byte, no SolveOptions) [sha256.Size]byte {
+	buf := bodies.Get().(*[]byte)
+	b := append(append((*buf)[:0], doc...), 0)
+	b = no.appendCanonical(b)
+	sum := sha256.Sum256(b)
+	if cap(b) <= maxPooledBody {
+		*buf = b
+		bodies.Put(buf)
+	}
+	return sum
 }
 
 // ProblemMemo maps a submitted problem document to its parsed problem
@@ -104,11 +117,13 @@ func (m *ProblemMemo) Resolve(doc []byte, opts SolveOptions) (ftdse.Problem, str
 		// document before the options' own error.
 		return readAndFingerprint(doc, opts)
 	}
-	h := sha256.New()
-	h.Write(doc)
-	io.WriteString(h, "\x00"+no.canonical())
-	var key [sha256.Size]byte
-	h.Sum(key[:0])
+	return m.resolve(doc, no)
+}
+
+// resolve is Resolve over options already normalized, as Prepare has
+// them.
+func (m *ProblemMemo) resolve(doc []byte, no SolveOptions) (ftdse.Problem, string, error) {
+	key := docKey(doc, no)
 	if d, ok := m.docs.get(key); ok {
 		return d.problem, d.fp, nil
 	}

@@ -25,7 +25,9 @@ type job struct {
 	// warm optionally seeds the solve with a prior incumbent (from a
 	// checkpoint); it rides outside the fingerprint, see
 	// SubmitRequest.WarmStart.
-	warm      ftdse.Design
+	warm ftdse.Design
+	// node names the cluster member in the job's spans (Prepared.node).
+	node      string
 	submitted time.Time
 
 	// ctx governs the solve; cancel fires on DELETE /jobs/{id}, on
@@ -157,19 +159,10 @@ func (j *job) publish(imp ftdse.Improvement) {
 	j.mu.Lock()
 	j.events = append(j.events, ev)
 	// The observer owns imp.Design (a private clone), so retaining it
-	// for the checkpoint loop is safe.
+	// for the checkpoint route is safe.
 	j.lastImp = imp
 	j.wakeLocked()
 	j.mu.Unlock()
-}
-
-// latest snapshots the newest incumbent for the checkpoint push loop:
-// the improvement, a sequence number (the event count) to dedupe
-// pushes, and whether any incumbent exists yet.
-func (j *job) latest() (ftdse.Improvement, int, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.lastImp, len(j.events), len(j.events) > 0
 }
 
 // finish moves the job to a terminal state exactly once, reporting
@@ -207,11 +200,10 @@ func (j *job) finishLocked(state string, result []byte, errMsg string) {
 	j.finished = &now
 	j.result = result
 	j.errMsg = errMsg
-	// The solve has consumed the problem and the checkpoint loop, the
-	// only reader of lastImp, stopped before the solve concluded; drop
-	// both so retained terminal jobs (up to maxJobs) hold only
-	// their result bytes. The problem may be shared with other jobs
-	// through the ProblemMemo; only this job's handle goes.
+	// The solve has consumed the problem, and a terminal job serves no
+	// checkpoint; drop both so retained terminal jobs (up to maxJobs)
+	// hold only their result bytes. The problem may be shared with
+	// other jobs through the ProblemMemo; only this job's handle goes.
 	j.problem = ftdse.Problem{}
 	j.lastImp = ftdse.Improvement{}
 	close(j.done)

@@ -29,13 +29,7 @@ type metrics struct {
 	jobsCoalesced  *obs.Counter // submissions attached to an identical in-flight solve
 	solveLatency   *obs.Histogram
 	queueWait      *obs.Histogram
-
-	// Cluster tier (see cluster.go): solves seeded from a checkpoint,
-	// and incumbent checkpoints pushed to (or dropped on the way to)
-	// the coordinator.
-	warmStarts           *obs.Counter
-	checkpointsPushed    *obs.Counter
-	checkpointPushErrors *obs.Counter
+	warmStarts     *obs.Counter // solves seeded from a checkpoint
 }
 
 // latencyBuckets spans 1ms to ~17min exponentially — solves range from
@@ -60,9 +54,7 @@ func newMetrics(queueDepth func() int, queueCap int, cacheLen func() int) *metri
 			"Wall-clock latency of completed solves.", latencyBuckets()),
 		queueWait: r.NewHistogram("ftdse_queue_wait_seconds",
 			"Time jobs spent queued before a worker picked them up.", latencyBuckets()),
-		warmStarts:           r.NewCounter("ftdse_warm_starts_total", "Solves seeded from a warm-start checkpoint."),
-		checkpointsPushed:    r.NewCounter("ftdse_checkpoints_pushed_total", "Incumbent checkpoints pushed to the coordinator."),
-		checkpointPushErrors: r.NewCounter("ftdse_checkpoint_push_errors_total", "Checkpoint pushes that failed."),
+		warmStarts: r.NewCounter("ftdse_warm_starts_total", "Solves seeded from a warm-start checkpoint."),
 	}
 	r.NewGaugeFunc("ftdse_queue_depth", "Jobs waiting for a worker.",
 		func() float64 { return float64(queueDepth()) })

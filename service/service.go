@@ -26,17 +26,17 @@
 //	GET    /jobs/{id}/events SSE stream: one "improvement" event per
 //	                         incumbent solution, then a closing "done"
 //	                         event carrying the final JobStatus.
+//	GET    /jobs/{id}/checkpoint
+//	                         the running job's latest incumbent as a
+//	                         checkpoint document (ftdse.WriteCheckpoint),
+//	                         404 when it has none; a coordinator pulls it.
 //	GET    /metrics          Prometheus text exposition (queue depth,
 //	                         cache hits and misses, solve latency and
 //	                         queue wait histograms, evaluator counters…).
 //	GET    /healthz          liveness ("ok", or 503 while draining).
 //	GET    /readyz           readiness: 200 when the queue has room and
 //	                         the service is not draining, 503 otherwise;
-//	                         the JSON body carries the backlog and the
-//	                         cluster node name (see cluster.go).
-//	POST   /cluster/register node mode: a coordinator registers itself;
-//	                         the service then pushes periodic search
-//	                         checkpoints of running solves to it.
+//	                         the JSON body carries the backlog.
 //
 // A submission may carry a warm start (a checkpoint document from a
 // previous solve); see SubmitRequest.WarmStart.
@@ -44,7 +44,9 @@
 // Everything is stdlib-only. Use New + Handler to embed the service in
 // any mux; cmd/ftdsed wraps it in a daemon. The cluster package builds
 // the sharded coordinator on top of this API and serves the same job
-// routes through MountJobs.
+// routes through MountJobs. A node never calls the coordinator: the
+// coordinator dispatches, polls and pulls checkpoints, and names the
+// member it dispatches to in the Ftdse-Node header.
 package service
 
 import (
@@ -80,8 +82,8 @@ type Config struct {
 	// client cannot occupy a worker forever (0 = uncapped).
 	MaxTimeLimit time.Duration
 	// Logger receives the service's structured log records (job
-	// lifecycle, backpressure rejections, checkpoint push failures),
-	// each tagged with the job's trace ID. nil discards them.
+	// lifecycle, backpressure rejections), each tagged with the job's
+	// trace ID. nil discards them.
 	Logger *slog.Logger
 }
 
@@ -121,13 +123,12 @@ func Retire[J any](jobs map[string]J, retired []string, id string) []string {
 // Service is a concurrent solve service. Create with New, mount
 // Handler, and Close to drain.
 type Service struct {
-	cfg     Config
-	solver  *ftdse.Solver        // shared base; per-job variants derived With()
-	cache   *lru[string, []byte] // fingerprint → encoded JobResult
-	memo    *ProblemMemo
-	met     *metrics
-	log     *slog.Logger
-	cluster clusterState // node-mode identity (set by registration)
+	cfg    Config
+	solver *ftdse.Solver        // shared base; per-job variants derived With()
+	cache  *lru[string, []byte] // fingerprint → encoded JobResult
+	memo   *ProblemMemo
+	met    *metrics
+	log    *slog.Logger
 
 	mu       sync.Mutex // guards pending, jobs, inflight, retired, draining
 	workCond *sync.Cond // signaled on new pending work and on Close
@@ -257,11 +258,9 @@ func (s *Service) runJob(j *job) {
 		opts = append(opts, ftdse.WithWarmStart(j.warm))
 		s.met.warmStarts.Inc()
 	}
-	stopCk := s.startCheckpoints(j)
 	start := time.Now()
 	solver := s.solver.With(opts...)
 	res, err := solver.Solve(j.ctx, j.problem)
-	stopCk()
 	solveDur := time.Since(start)
 	s.met.solvesInFlight.Add(-1)
 	s.met.observeSolve(solveDur)
@@ -271,10 +270,9 @@ func (s *Service) runJob(j *job) {
 		s.conclude(j, StateFailed, nil, err.Error())
 		return
 	}
-	node := s.clusterNode()
 	spans := []obs.Span{
-		{Name: "queue_wait", StartMs: 0, DurationMs: durMs(queueWait), Node: node},
-		{Name: "solve", StartMs: durMs(queueWait), DurationMs: durMs(solveDur), Node: node},
+		{Name: "queue_wait", StartMs: 0, DurationMs: durMs(queueWait), Node: j.node},
+		{Name: "solve", StartMs: durMs(queueWait), DurationMs: durMs(solveDur), Node: j.node},
 	}
 	body, encErr := encodeResult(res, j.traceID, spans)
 	if encErr != nil {
@@ -432,8 +430,9 @@ func (s nodeJobs) Admit(reqs []Prepared) ([]*job, error) {
 			// start wins: later hints could only steer the same
 			// deterministic search from a different (never worse for the
 			// submitter) starting point, and a job must not change under
-			// clients already attached to it.
-			j.warm = r.warm
+			// clients already attached to it. The member name is the
+			// first submission's too.
+			j.warm, j.node = r.warm, r.node
 			jobs[i] = j
 			s.jobs[j.id] = j
 			s.inflight[r.Fingerprint] = j
@@ -472,7 +471,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
-	mux.HandleFunc("POST /cluster/register", s.handleRegister)
 	return mux
 }
 
@@ -517,6 +515,27 @@ func (nodeJobs) Follow(ctx context.Context, j *job, send func(...ProgressEvent))
 	}
 }
 
+// Checkpoint encodes the running job's latest incumbent as a
+// checkpoint document under the job's fingerprint; a job with no
+// incumbent, or a terminal one, has none.
+func (nodeJobs) Checkpoint(j *job) ([]byte, error) {
+	j.mu.Lock()
+	prob, imp := j.problem, j.lastImp
+	j.mu.Unlock()
+	if len(imp.Design) == 0 {
+		return nil, nil
+	}
+	ck, err := ftdse.NewCheckpoint(prob, j.fingerprint, imp)
+	if err != nil {
+		return nil, err
+	}
+	var doc bytes.Buffer
+	if err := ftdse.WriteCheckpoint(&doc, ck); err != nil {
+		return nil, err
+	}
+	return doc.Bytes(), nil
+}
+
 // cancelJob cancels a job's context and immediately finishes it when it
 // never started running (a running job is finished by its worker).
 func (s *Service) cancelJob(j *job) {
@@ -547,6 +566,29 @@ func (s *Service) cancelJob(j *job) {
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.ContentType)
 	s.met.reg.WriteText(w)
+}
+
+// handleReady answers GET /readyz: 200 with Ready true when the node
+// can accept new work right now (not draining, queue not full), 503
+// with the same document otherwise. The body always carries the queue
+// backlog, so the coordinator's health pass doubles as its load probe.
+func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	depth := len(s.pending)
+	draining := s.draining
+	s.mu.Unlock()
+	st := ReadyStatus{
+		Ready:          !draining && depth < s.cfg.QueueSize,
+		Draining:       draining,
+		QueueDepth:     depth,
+		QueueCapacity:  s.cfg.QueueSize,
+		SolvesInFlight: int(s.met.solvesInFlight.Value()),
+	}
+	code := http.StatusOK
+	if !st.Ready {
+		code = http.StatusServiceUnavailable
+	}
+	WriteJSON(w, code, st)
 }
 
 func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {

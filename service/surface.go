@@ -33,12 +33,16 @@ type JobTier[J any] interface {
 	// Follow sends the job's improvement events, each once, until the
 	// job is terminal (true) or ctx ends (false).
 	Follow(ctx context.Context, j J, send func(...ProgressEvent)) bool
+	// Checkpoint returns the checkpoint document of the job's latest
+	// incumbent, nil when it has none.
+	Checkpoint(J) ([]byte, error)
 }
 
 // MountJobs mounts the job surface, POST /solve, POST /solve/batch, GET
-// and DELETE /jobs/{id} and GET /jobs/{id}/events, over tier t: both
-// tiers serve one implementation. Submissions are checked by
-// memo.Prepare with maxTimeLimit.
+// and DELETE /jobs/{id}, GET /jobs/{id}/events and GET
+// /jobs/{id}/checkpoint, over tier t: both tiers serve one
+// implementation. Submissions are checked by memo.Prepare with
+// maxTimeLimit.
 func MountJobs[J any](mux *http.ServeMux, t JobTier[J], memo *ProblemMemo, maxTimeLimit time.Duration) {
 	s := &surface[J]{tier: t, memo: memo, maxTimeLimit: maxTimeLimit}
 	mux.HandleFunc("POST /solve", s.solve)
@@ -46,6 +50,7 @@ func MountJobs[J any](mux *http.ServeMux, t JobTier[J], memo *ProblemMemo, maxTi
 	mux.HandleFunc("GET /jobs/{id}", s.get)
 	mux.HandleFunc("DELETE /jobs/{id}", s.cancel)
 	mux.HandleFunc("GET /jobs/{id}/events", s.events)
+	mux.HandleFunc("GET /jobs/{id}/checkpoint", s.checkpoint)
 }
 
 type surface[J any] struct {
@@ -63,6 +68,7 @@ type Prepared struct {
 	opts    SolveOptions // normalized, the time limit capped
 	problem ftdse.Problem
 	warm    ftdse.Design // the warm start, when it fits the problem
+	node    string       // the member named by a dispatch's Ftdse-Node header
 }
 
 // Prepare checks one submission as every tier does: the options
@@ -89,7 +95,7 @@ func (m *ProblemMemo) Prepare(req SubmitRequest, maxTimeLimit time.Duration) (Pr
 	}
 	// The memo keys on the options after the cap, which the fingerprint
 	// includes.
-	prob, fp, err := m.Resolve(req.Problem, opts)
+	prob, fp, err := m.resolve(req.Problem, opts)
 	if err != nil {
 		return Prepared{}, err
 	}
@@ -142,6 +148,11 @@ func (s *surface[J]) solve(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		WriteError(w, err)
 		return
+	}
+	// A coordinator names the member it dispatches to; a node writes
+	// the name into the job's spans.
+	if node := r.Header.Get(obs.NodeHeader); obs.ValidTraceID(node) {
+		p.node = node
 	}
 	jobs, err := s.tier.Admit([]Prepared{p})
 	if err != nil {
@@ -266,6 +277,25 @@ func (s *surface[J]) events(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// checkpoint answers the job's latest incumbent as a checkpoint
+// document, or 404 when it has none.
+func (s *surface[J]) checkpoint(w http.ResponseWriter, r *http.Request) {
+	j, ok := s.job(w, r)
+	if !ok {
+		return
+	}
+	doc, err := s.tier.Checkpoint(j)
+	switch {
+	case err != nil:
+		WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+	case doc == nil:
+		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "no checkpoint for job " + r.PathValue("id")})
+	default:
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(doc)
+	}
+}
+
 // closed reports whether ch is closed, without blocking.
 func closed(ch <-chan struct{}) bool {
 	select {
@@ -304,8 +334,8 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	}
 }
 
-// bodies recycles response bodies: a ResponseWriter, like any
-// io.Writer, does not retain what it is given.
+// bodies recycles byte buffers: response bodies (a ResponseWriter, like
+// any io.Writer, does not retain what it is given) and docKey's input.
 var bodies = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledBody keeps a rare large body, such as a big batch's, from

@@ -2,8 +2,8 @@ package service
 
 import (
 	"encoding/json"
-	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -148,29 +148,50 @@ func stochasticEngine(name string) bool {
 	return slices.Contains(ftdse.StochasticEngines(), name)
 }
 
-// canonical renders normalized options as the fixed-order string mixed
-// into the problem fingerprint. Workers is normalized to 0 for untimed
-// requests: without a time limit the result is identical for every
-// worker count (the solver's determinism contract), so those requests
-// share a cache entry. The one exception is a portfolio race with
+// appendCanonical appends the fixed-order rendering of normalized
+// options that is mixed into the problem fingerprint:
+//
+//	strategy=%s;engine=%s;seed=%d;iters=%d;limit_ns=%d;workers=%d;bus=%t;ckpt=%t;maxckpt=0;stopsched=%t;slack=%t;tenure=0;flight=%t
+//
+// maxckpt=0 and tenure=0 name fixed defaults, kept so existing keys
+// stay valid. Workers is normalized to 0 for untimed requests: without
+// a time limit the result is identical for every worker count (the
+// solver's determinism contract), so those requests share a cache
+// entry. The one exception is a portfolio race with
 // StopWhenSchedulable: the first schedulable incumbent cancels the
 // race mid-flight, so the outcome is timing-dependent — like a timed
 // run — and the worker count stays in the key rather than coalescing
 // requests whose answers may legitimately differ.
-func (o SolveOptions) canonical() string {
+func (o SolveOptions) appendCanonical(b []byte) []byte {
 	w := o.Workers
 	if o.TimeLimitMs == 0 && !(o.StopWhenSchedulable && o.Engine == "portfolio") {
 		w = 0
 	}
+	b = append(b, "strategy="...)
+	b = append(b, o.Strategy...)
+	b = append(b, ";engine="...)
+	b = append(b, o.Engine...)
+	b = append(b, ";seed="...)
+	b = strconv.AppendInt(b, o.Seed, 10)
+	b = append(b, ";iters="...)
+	b = strconv.AppendInt(b, int64(o.MaxIterations), 10)
 	// The limit is keyed at full nanosecond resolution: a sub-microsecond
 	// TimeLimitMs is still a real (immediately truncating) budget and
 	// must never collide with the untimed request's key.
-	// maxckpt=0 and tenure=0 name fixed defaults, kept so existing keys stay valid.
-	return fmt.Sprintf(
-		"strategy=%s;engine=%s;seed=%d;iters=%d;limit_ns=%d;workers=%d;bus=%t;ckpt=%t;maxckpt=0;stopsched=%t;slack=%t;tenure=0;flight=%t",
-		o.Strategy, o.Engine, o.Seed, o.MaxIterations, o.timeLimit().Nanoseconds(), w,
-		o.BusOptimization, o.Checkpointing,
-		o.StopWhenSchedulable, *o.SlackSharing, o.FlightRecorder)
+	b = append(b, ";limit_ns="...)
+	b = strconv.AppendInt(b, o.timeLimit().Nanoseconds(), 10)
+	b = append(b, ";workers="...)
+	b = strconv.AppendInt(b, int64(w), 10)
+	b = append(b, ";bus="...)
+	b = strconv.AppendBool(b, o.BusOptimization)
+	b = append(b, ";ckpt="...)
+	b = strconv.AppendBool(b, o.Checkpointing)
+	b = append(b, ";maxckpt=0;stopsched="...)
+	b = strconv.AppendBool(b, o.StopWhenSchedulable)
+	b = append(b, ";slack="...)
+	b = strconv.AppendBool(b, *o.SlackSharing)
+	b = append(b, ";tenure=0;flight="...)
+	return strconv.AppendBool(b, o.FlightRecorder)
 }
 
 // SubmitRequest is the body of POST /solve: the problem document (the
@@ -281,7 +302,8 @@ type JobResult struct {
 	TraceID string `json:"trace_id,omitempty"`
 	// Spans are the solve's server-side timings on the node that ran it
 	// (queue_wait, solve), with StartMs relative to the submission the
-	// span set was recorded under. A coordinator passes the node's
+	// span set was recorded under, and Node the member name a
+	// coordinator dispatched it under. A coordinator passes the node's
 	// document through unchanged and adds no spans of its own.
 	Spans []obs.Span `json:"spans,omitempty"`
 	// TraceJSONL carries the flight-recorder trace document (the
@@ -332,9 +354,7 @@ type ErrorResponse struct {
 
 // ReadyStatus is the body of GET /readyz: whether the node is able to
 // accept new work right now (the queue has room and the service is not
-// draining). The coordinator's health checker polls it; the Node field
-// doubles as the re-registration signal — a node that restarted comes
-// back with an empty Node and is re-registered by the next health pass.
+// draining). The coordinator's health checker polls it.
 //
 //ftdse:wire
 type ReadyStatus struct {
@@ -346,47 +366,4 @@ type ReadyStatus struct {
 	QueueCapacity int `json:"queue_capacity"`
 	// SolvesInFlight counts running solves (load signal for stealing).
 	SolvesInFlight int `json:"solves_in_flight"`
-	// Node is the cluster name this service was registered under, empty
-	// when the service runs standalone (or restarted and lost it).
-	Node string `json:"node,omitempty"`
-}
-
-// RegisterRequest is the body of POST /cluster/register: the
-// coordinator introduces itself to a solver node. Registration turns on
-// node mode: the service pushes a checkpoint of every running solve's
-// incumbent design to {coordinator}/cluster/checkpoints every
-// CheckpointMs, so an in-flight solve can resume elsewhere if this
-// process dies. Re-registration (a later request) replaces the previous
-// identity, so a coordinator restart heals itself on its first health
-// pass.
-//
-//ftdse:wire
-type RegisterRequest struct {
-	// Node is the coordinator's name for this solver node.
-	Node string `json:"node"`
-	// Coordinator is the base URL checkpoints are pushed to.
-	Coordinator string `json:"coordinator"`
-	// CheckpointMs is the push cadence; <= 0 selects 1000.
-	CheckpointMs float64 `json:"checkpoint_ms,omitempty"`
-}
-
-// RegisterResponse acknowledges a registration.
-//
-//ftdse:wire
-type RegisterResponse struct {
-	Node string `json:"node"`
-}
-
-// CheckpointPush is the body of POST /cluster/checkpoints on the
-// coordinator: one solve's latest incumbent, pushed by the node that
-// runs it. The checkpoint document embeds the fingerprint, but it is
-// repeated here so the coordinator can index without parsing the
-// document.
-//
-//ftdse:wire
-type CheckpointPush struct {
-	Node        string          `json:"node"`
-	JobID       string          `json:"job_id"`
-	Fingerprint string          `json:"fingerprint"`
-	Checkpoint  json.RawMessage `json:"checkpoint"`
 }
